@@ -32,18 +32,12 @@ from .configurations import (
     classify_residual,
     config_predicates,
 )
-from .verifiers import (
-    check_conjecture,
-    check_degree_bounds,
-    check_maxdeg_profile,
-    check_n4_characterization,
-    check_two_maxdeg_nonadjacent,
-)
+from .verifiers import check_n4_characterization, minimal_verdicts
 from .search import (
     enumerate_catalog,
     generate_nonisomorphic,
     hunt_counterexamples,
-    read_graph6_lines,
+    _read_graph6_file,
     survey,
 )
 from .graph import encode_graph6
@@ -84,10 +78,10 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     if args.graph6 is not None:
         return [("arg", parse_graph6(args.graph6))]
     if args.file is not None:
-        entries, bad = read_graph6_lines(args.file, lenient=args.lenient)
+        entries, bad = _read_graph6_file(args.file, args.lenient)
         for lineno, message in bad:
             print(f"{args.file}:{lineno}: skipped: {message}", file=sys.stderr)
-        return [(f"line {lineno}", parse_graph6(text)) for lineno, text in entries]
+        return [(f"line {lineno}", g) for lineno, _text, g in entries]
     out = []
     for lineno, line in enumerate(sys.stdin, start=1):
         text = line.strip()
@@ -234,11 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if g.n >= 6:
             verdicts.append(check_n4_characterization(g))
         if args.k is not None and is_minimally_kfc(g, args.k):
-            verdicts.append(check_conjecture(g, args.k, verified=True))
-            verdicts.append(check_degree_bounds(g, args.k, verified=True))
-            verdicts.append(check_two_maxdeg_nonadjacent(g, args.k, verified=True))
-            if args.k == g.n - 6 and args.k >= 1:
-                verdicts.append(check_maxdeg_profile(g, verified=True))
+            verdicts.extend(minimal_verdicts(g, args.k, verified=True))
         elif args.k is not None:
             lines.append(f"{label}: not minimally {args.k}-factor-critical; "
                          "degree statements skipped")

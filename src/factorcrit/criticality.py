@@ -121,14 +121,32 @@ def kfc_via_tutte(g: Graph, k: int) -> CriticalityReport:
     return CriticalityReport(k, True, None, METHOD_TUTTE)
 
 
+def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
+    """Whether g is k-factor-critical, and whether it is minimally so.
+
+    Favaron's necessary condition settles what it can before any matching
+    work: a k-factor-critical graph with n - k >= 2 has minimum degree at
+    least k+1.  So a graph with a vertex of degree at most k is not
+    k-factor-critical, and G - uv is not when u or v has degree k+1, which
+    makes uv essential without a test.  A valid k has k < n and the parity
+    of n, so n - k >= 2 always holds here.
+    """
+    _validate_k(g, k)
+    degrees = g.degrees()
+    if min(degrees) <= k or not is_k_factor_critical(g, k).verdict:
+        return False, False
+    tight = k + 1
+    for u, v in g.edges():
+        if degrees[u] == tight or degrees[v] == tight:
+            continue
+        if is_k_factor_critical(remove_edge(g, u, v), k).verdict:
+            return True, False
+    return True, True
+
+
 def is_minimally_kfc(g: Graph, k: int) -> bool:
     """True iff g is k-factor-critical but no single-edge deletion is."""
-    if not is_k_factor_critical(g, k).verdict:
-        return False
-    for u, v in g.edges():
-        if is_k_factor_critical(remove_edge(g, u, v), k).verdict:
-            return False
-    return True
+    return kfc_and_minimal(g, k)[1]
 
 
 def iter_minimality_witnesses(g: Graph, k: int, e: tuple[int, int]) -> Iterator[int]:

@@ -4,6 +4,11 @@ Vertices are the integers 0..n-1 and every vertex set is a Python int used as a
 bitset, so set algebra is plain integer arithmetic.  The order cap of 62 keeps
 every bitset inside one machine word and matches the short form of the graph6
 encoding.  All values are immutable; operations return new graphs.
+
+Public construction through ``Graph(n, adj)`` validates its input.  The
+decoder and the operations of this package whose output is symmetric,
+loop-free and confined to bits below ``n`` by construction build through the
+unvalidated ``Graph._trusted`` instead.
 """
 
 from __future__ import annotations
@@ -50,8 +55,9 @@ class Graph:
     """Undirected simple graph on ``n`` labeled vertices.
 
     ``adj[v]`` is the neighbor bitset of vertex ``v``.  Adjacency is symmetric,
-    loop-free, and confined to bits below ``n``; the constructor enforces all
-    three.
+    loop-free, and confined to bits below ``n``.  The public constructor
+    checks all three; ``_trusted`` skips the checks for internal callers
+    whose rows satisfy them by construction.
     """
 
     n: int
@@ -74,6 +80,15 @@ class Graph:
             for v in iter_bits(row):
                 if not self.adj[v] >> u & 1:
                     raise PreconditionUnmet(f"asymmetric edge {u}-{v}")
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        """Build without validation; ``adj`` must already be a valid
+        symmetric, loop-free adjacency of order ``n``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -223,7 +238,7 @@ def delete_vertices(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, dic
         for w in iter_bits(g.adj[old] & keep):
             row |= 1 << index_map[w]
         rows.append(row)
-    return Graph(len(rows), tuple(rows)), index_map
+    return Graph._trusted(len(rows), tuple(rows)), index_map
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
@@ -232,7 +247,7 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
     rows = list(g.adj)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return Graph(g.n, tuple(rows))
+    return Graph._trusted(g.n, tuple(rows))
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
@@ -243,7 +258,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     rows = list(g.adj)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+    return Graph._trusted(g.n, tuple(rows))
 
 
 def is_claw_free(g: Graph) -> bool:
@@ -332,7 +347,7 @@ def parse_graph6(text: str | bytes) -> Graph:
     codes = [ord(c) for c in line]
     if codes[0] == 126:
         raise UnsupportedOrder("long-form graph6 (order >= 63) is not supported")
-    if any(c < 63 or c > 126 for c in codes):
+    if min(codes) < 63 or max(codes) > 126:
         raise MalformedEncoding(f"byte out of graph6 range in {line!r}")
     n = codes[0] - 63
     nbits = n * (n - 1) // 2
@@ -348,22 +363,22 @@ def parse_graph6(text: str | bytes) -> Graph:
     if pad and bitstream & ((1 << pad) - 1):
         raise MalformedEncoding("nonzero padding bits in graph6 string")
     bitstream >>= pad
+    # Columns are stored j = 1..n-1, so the last one sits in the low bits.
+    # Cell (i, j) is bit j-1-i of column j.
     rows = [0] * n
-    for idx in range(nbits - 1, -1, -1):
-        if bitstream & 1:
-            i, j = _triangle_position(idx)
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        bitstream >>= 1
-    return Graph(n, tuple(rows))
-
-
-def _triangle_position(idx: int) -> tuple[int, int]:
-    # idx counts upper-triangle cells in column order: (0,1), (0,2), (1,2), ...
-    j = 1
-    while j * (j + 1) // 2 <= idx:
-        j += 1
-    return idx - j * (j - 1) // 2, j
+    for j in range(n - 1, 0, -1):
+        col = bitstream & ((1 << j) - 1)
+        bitstream >>= j
+        j_bit = 1 << j
+        lower = 0
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            lower |= 1 << i
+            rows[i] |= j_bit
+            col ^= low
+        rows[j] |= lower
+    return Graph._trusted(n, tuple(rows))
 
 
 # Named constructions used throughout the test corpus and the CLI docs.

@@ -120,7 +120,12 @@ def check_star_structure(g: Graph, k: int, verified_kfc: bool = False) -> Theore
         raise NotCritical(f"graph is not {k}-factor-critical")
     if n <= k + 2 or g.max_degree() != n - 1:
         raise PreconditionUnmet("needs order above k+2 and a universal vertex")
-    minimal = is_minimally_kfc(g, k)
+    return _star_structure_verdict(g, k, is_minimally_kfc(g, k))
+
+
+def _star_structure_verdict(g: Graph, k: int, minimal: bool) -> TheoremVerdict:
+    """The star-structure verdict once g's minimality is known."""
+    n = g.n
     profile = degree_profile(g)
     star_profile = profile == {n - 1: 1, k + 1: n - 1}
     passed = minimal == star_profile
@@ -181,7 +186,9 @@ def check_maxdeg_profile(g: Graph, verified: bool = False) -> TheoremVerdict:
     profile = degree_profile(g)
 
     if delta_max == n - 1:
-        return check_star_structure(g, k, verified_kfc=True)
+        # k = n-6 puts the order above k+2, and minimality, checked or
+        # vouched for above, is the star statement's left side.
+        return _star_structure_verdict(g, k, True)
 
     if delta_max == n - 2:
         if n < 8:

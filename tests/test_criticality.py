@@ -31,6 +31,7 @@ from factorcrit import (
     star_graph,
     wheel_graph,
 )
+from factorcrit.criticality import kfc_and_minimal
 from factorcrit.graph import bits_list
 
 
@@ -85,6 +86,25 @@ def test_minimality_examples():
     assert not is_minimally_kfc(complete_graph(8), 2)
     assert is_minimally_kfc(cycle_graph(5), 1)
     assert not is_minimally_kfc(complete_graph(5), 1)
+
+
+def test_degree_gated_minimality_matches_definitional_to_order_7(catalog):
+    # The gated helper skips the matcher on minimum degree <= k and skips
+    # G - uv when u or v has degree k+1; the ungated definitional verdicts on
+    # G and on every G - e must agree with it on every graph and every k.
+    cases = 0
+    for n in range(2, 8):
+        for g in catalog(n):
+            for k in _valid_ks(n):
+                kfc = is_k_factor_critical(g, k).verdict
+                minimal = kfc and not any(
+                    is_k_factor_critical(remove_edge(g, u, v), k).verdict
+                    for u, v in g.edges()
+                )
+                assert kfc_and_minimal(g, k) == (kfc, minimal), (g.edges(), k)
+                assert is_minimally_kfc(g, k) == minimal
+                cases += 1
+    assert cases == 3696
 
 
 def test_complete_graphs_minimally_critical_at_top_k():

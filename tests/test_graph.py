@@ -84,6 +84,21 @@ def test_graph6_rejects_malformed():
         parse_graph6("A~")  # nonzero padding bits
     with pytest.raises(UnsupportedOrder):
         parse_graph6("~??")  # long form announces order >= 63
+    # n(n-1)/2 mod 6 takes the residues 0, 1, 3 and 4, leaving 0, 5, 3 and 2
+    # padding bits in the last byte; setting any one of them is malformed.
+    residues = set()
+    for n in range(2, 14):
+        nbits = n * (n - 1) // 2
+        residues.add(nbits % 6)
+        text = encode_graph6(complete_graph(n))
+        pad = -nbits % 6
+        if not pad:
+            assert parse_graph6(text) == complete_graph(n)
+        for bit in range(pad):
+            bad = text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1 << bit))
+            with pytest.raises(MalformedEncoding):
+                parse_graph6(bad)
+    assert residues == {0, 1, 3, 4}
 
 
 def test_graph6_roundtrip_exhaustive_small_orders():
@@ -100,7 +115,7 @@ def _all_edge_subsets(n: int):
 
 
 @settings(max_examples=200)
-@given(random_graph_strategy(max_n=20))
+@given(random_graph_strategy(max_n=62))
 def test_graph6_matches_networkx_codec(g):
     ours = encode_graph6(g)
     theirs = nx.to_graph6_bytes(to_networkx(g), header=False).strip().decode()

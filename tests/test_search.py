@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -180,6 +181,30 @@ def test_survey_deterministic_and_parallel_identical(catalog):
     again = survey(cat, 2).to_json()
     parallel = survey(cat, 2, jobs=2).to_json()
     assert serial == again == parallel
+
+
+# sha256 of the survey JSONL stream and of the sorted-key report JSON for the
+# generated order-7 catalog, recorded from the survey without degree gates,
+# so the gated survey must reproduce the ungated one byte for byte.
+SURVEY7_GOLDEN = {
+    1: ("d2d634d3ac621bea1ac1b7d5065940ac56f111f3d8707d16132f8c85bedba807",
+        "b03ca78189013b23671a9a5cfc83fe73f6520fa51175aed2ab687ab38d5f6c3c"),
+    3: ("8909b7063dfb7586fa5c98cce0414b85dc573da5691db52403f2b586eee86c1a",
+        "6bd3a8c658a060a4c30d29b3a36006c662c90455c78ed22e697f7e70d4bbb02f"),
+    5: ("a7f82cc45395741e6fcaa2f318087b880f8b5e4a790853f82c59a2a622e35f76",
+        "fabcfda22b1364e05399703726064c9ae7b4b04d6c2983d236499e764fb08206"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_output_matches_golden_order_7(tmp_path: Path, jobs):
+    cat = enumerate_catalog(7)
+    for k, (jsonl_sha, report_sha) in SURVEY7_GOLDEN.items():
+        path = tmp_path / f"k{k}.jsonl"
+        report = survey(cat, k, jobs=jobs, jsonl_path=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == jsonl_sha, k
+        payload = json.dumps(report.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == report_sha, k
 
 
 def test_survey_jsonl_stream_and_resume(tmp_path: Path, catalog):
