@@ -1,11 +1,30 @@
 """Catalog generation and ingestion, catalog-wide surveys, counterexample hunts.
 
-Generation is orderly: a labeled graph is emitted iff its column-wise
-upper-triangle encoding is lexicographically minimal over all relabelings.
-Minimal labelings are closed under removing the last vertex, so extending
-each canonical graph of order m-1 by one vertex and keeping the canonical
-extensions enumerates every isomorphism class of order m exactly once.
-Feasible to order 9; larger catalogs are ingested from graph6 files.
+Generation is orderly (Read's method): a labeled graph is emitted iff its
+column-wise upper-triangle encoding is lexicographically minimal over all
+relabelings.  Minimal labelings are closed under removing the last vertex,
+so extending each canonical graph of order m-1 by one vertex and keeping the
+canonical extensions enumerates every isomorphism class of order m exactly
+once.  Feasible to order 9; larger catalogs are ingested from graph6 files.
+
+One depth-first branch and bound over labelings, ``_min_columns``, decides
+minimality and finds canonical forms.  It fills positions 0, 1, ... in turn,
+starting from the identity labeling as the best so far, and runs in two
+modes:
+
+- orderly (generation): stop at the first column that comes out smaller
+  than the identity's, which proves the labeling is not minimal;
+- canonical (``canonical_form``): when a column comes out smaller, replace
+  the best codes from that column on and keep searching.
+
+The candidates for a position are a vertex bitset.  A candidate whose row
+agrees with that of a candidate already explored at the same depth, except
+on the two vertices themselves, is skipped: the two are twins, swapping them
+is an automorphism fixing every placed vertex, and both subtrees hold the
+same codes.  Twin pruning makes complete, empty and complete bipartite
+graphs cheap at any order; graphs whose automorphisms twin swaps do not
+generate, such as cycles and cocktail-party graphs, still cost exponential
+time.
 """
 
 from __future__ import annotations
@@ -50,100 +69,101 @@ CONFIG_COMPLETENESS = "config-completeness"
 CONFIG_PREDICATES = "config-predicates"
 
 
-def _is_lex_min(adj: Sequence[int], n: int) -> bool:
-    """True iff no relabeling gives a smaller column encoding.
+def _min_columns(adj: Sequence[int], n: int, orderly: bool) -> list[int] | None:
+    """Column codes of the lexicographically minimal relabeling of ``adj``.
 
-    Depth-first over partial labelings; ``remaining`` carries each unplaced
-    vertex with its adjacency bits toward the placed prefix, so candidate
-    columns extend by one bit per level.
+    ``codes[j]`` (1 <= j < n) holds column j, bit j-1-i being the cell (i, j);
+    ``codes[0]`` is 0.  One depth-first branch and bound over labelings
+    serves both callers, with the identity labeling as the first best.  With
+    ``orderly`` it returns None at the first column that comes out smaller,
+    and otherwise the identity's codes: the orderly test.  Without it, a
+    smaller column replaces the best codes from that column on, and every
+    later position takes the smallest code it can reach.
+
+    The candidates for position j are a vertex bitset, narrowed against each
+    placed vertex's row in turn while following the best column's bit for
+    that vertex.  Twins of a candidate already explored at the same depth
+    are skipped (see the module docstring).
     """
-    target = []
+    best = [0] * n
     for j in range(1, n):
-        c = 0
         row = adj[j]
+        code = 0
         for i in range(j):
-            c = (c << 1) | (row >> i & 1)
-        target.append(c)
+            code = (code << 1) | (row >> i & 1)
+        best[j] = code
+    placed = [0] * n  # row of the vertex at each filled position
+    bounded = n  # positions below this one are bounded by ``best``
 
-    def dfs(j: int, remaining: list[tuple[int, int]]) -> bool:
+    def dfs(j: int, unplaced: int) -> bool:
+        nonlocal bounded
         if j == n:
             return True
-        if j == 0:
-            equal = remaining
-        else:
-            t = target[j - 1]
-            equal = []
-            for wc in remaining:
-                c = wc[1]
-                if c < t:
-                    return False
-                if c == t:
-                    equal.append(wc)
-        for w, _ in equal:
-            nxt = [(x, (cx << 1) | (adj[x] >> w & 1)) for x, cx in remaining if x != w]
-            if not dfs(j + 1, nxt):
+        cand = unplaced
+        if j:
+            free = j >= bounded
+            i = code = 0
+            if not free:
+                bound = best[j]
+                bit = 1 << (j - 1)
+                while bit:
+                    below = cand & ~placed[i]
+                    i += 1
+                    if bound & bit:
+                        if below:  # a smaller column j
+                            if orderly:
+                                return False
+                            free = True
+                            cand = below
+                            code = (bound ^ bit) >> (j - i)
+                            break
+                    elif below:
+                        cand = below
+                    else:  # every candidate's column j is larger
+                        return True
+                    bit >>= 1
+            if free:  # the rest of column j takes its smallest bits
+                for row in placed[i:j]:
+                    below = cand & ~row
+                    if below:
+                        cand = below
+                        code <<= 1
+                    else:
+                        code = (code << 1) | 1
+                best[j] = code
+                bounded = j + 1
+        explored = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            row = adj[low.bit_length() - 1]
+            rest = explored
+            while rest:
+                other = rest & -rest
+                if not (row ^ adj[other.bit_length() - 1]) & ~(low | other):
+                    break
+                rest ^= other
+            if rest:  # a twin of an explored candidate
+                continue
+            explored |= low
+            placed[j] = row
+            if not dfs(j + 1, unplaced ^ low):
                 return False
         return True
 
-    return dfs(0, [(v, 0) for v in range(n)])
-
-
-def _min_labeling(adj: Sequence[int], n: int) -> list[int]:
-    """Permutation (canonical position -> original vertex) minimizing the
-    column encoding, by branch and bound seeded with a greedy descent."""
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
-
-    def greedy() -> None:
-        nonlocal best_cols, best_perm
-        perm: list[int] = []
-        cols: list[int] = []
-        remaining = [(v, 0) for v in range(n)]
-        while remaining:
-            code, w = min((c, x) for x, c in remaining)
-            if perm:
-                cols.append(code)
-            perm.append(w)
-            remaining = [(x, (cx << 1) | (adj[x] >> w & 1)) for x, cx in remaining if x != w]
-        best_cols, best_perm = cols, perm
-
-    def dfs(j: int, perm: list[int], cols: list[int], remaining: list[tuple[int, int]], tight: bool) -> None:
-        nonlocal best_cols, best_perm
-        if j == n:
-            if cols < best_cols:
-                best_cols, best_perm = list(cols), list(perm)
-            return
-        for code, w in sorted((c, x) for x, c in remaining):
-            if j >= 1 and tight and code > best_cols[j - 1]:
-                break
-            child_tight = tight and (j == 0 or code == best_cols[j - 1])
-            nxt = [(x, (cx << 1) | (adj[x] >> w & 1)) for x, cx in remaining if x != w]
-            if j >= 1:
-                cols.append(code)
-            perm.append(w)
-            dfs(j + 1, perm, cols, nxt, child_tight)
-            perm.pop()
-            if j >= 1:
-                cols.pop()
-
-    if n <= 1:
-        return list(range(n))
-    greedy()
-    dfs(0, [], [], [(v, 0) for v in range(n)], True)
-    return best_perm
+    return best if dfs(0, (1 << n) - 1) else None
 
 
 def canonical_form(g: Graph) -> Graph:
     """The isomorph of ``g`` with the lexicographically minimal encoding."""
-    perm = _min_labeling(g.adj, g.n)
-    position = {orig: new for new, orig in enumerate(perm)}
+    codes = _min_columns(g.adj, g.n, orderly=False)
     rows = [0] * g.n
-    for new, orig in enumerate(perm):
-        row = 0
-        for w_orig in range(g.n):
-            if g.adj[orig] >> w_orig & 1:
-                row |= 1 << position[w_orig]
-        rows[new] = row
+    for j in range(1, g.n):
+        code = codes[j]
+        for i in range(j):
+            if code >> (j - 1 - i) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return Graph._trusted(g.n, tuple(rows))
 
 
@@ -175,7 +195,7 @@ def _extend_level(parents: Iterable[tuple[int, ...]], m: int) -> Iterator[tuple[
         for mask in range(1 << top):
             adj = [parent[v] | ((mask >> v & 1) << top) for v in range(top)]
             adj.append(mask)
-            if _is_lex_min(adj, m):
+            if _min_columns(adj, m, orderly=True) is not None:
                 yield tuple(adj)
 
 
@@ -220,9 +240,12 @@ def _read_graph6_file(
     path: str, lenient: bool
 ) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str]]]:
     """``read_graph6_lines`` with each good line's decoded graph kept, so
-    callers that need the graphs parse every line once."""
+    callers that need the graphs parse every line once.
+
+    Non-ASCII bytes decode to lone surrogates, which ``parse_graph6``
+    rejects as out of range like any other malformed line."""
     try:
-        with open(path, "r", encoding="ascii") as handle:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
             raw = handle.readlines()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc

@@ -143,6 +143,16 @@ def test_lenient_file_parsing(tmp_path: Path, capsys):
     assert code == 0 and "skipped" in err
 
 
+def test_non_ascii_file_line(tmp_path: Path, capsys):
+    path = tmp_path / "accented.g6"
+    path.write_bytes("A_\né\n".encode("utf-8"))
+    code, _, err = run_cli(["pm", "--file", str(path)], capsys=capsys)
+    assert code == 2 and f"{path}:2: byte out of graph6 range" in err
+    code, out, err = run_cli(["pm", "--file", str(path), "--lenient"], capsys=capsys)
+    assert code == 0 and f"{path}:2: skipped" in err
+    assert "perfect matching: yes" in out
+
+
 def test_usage_exit_codes(capsys):
     assert run_cli(["nonsense"], capsys=capsys)[0] == 2
     assert run_cli(["kfc", "A_"], capsys=capsys)[0] == 2  # missing --k

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import math
+import random
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -19,7 +21,10 @@ from factorcrit import (
     ParityMismatch,
     canonical_form,
     canonical_graph6,
+    complete_bipartite,
+    complete_graph,
     cycle_graph,
+    empty_graph,
     encode_graph6,
     enumerate_catalog,
     generate_nonisomorphic,
@@ -28,6 +33,7 @@ from factorcrit import (
     survey,
     valid_k_values,
 )
+from factorcrit.search import read_graph6_lines
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -107,6 +113,71 @@ def test_generate_order_gate():
         list(generate_nonisomorphic(0))
 
 
+def _relabel(g: Graph, perm: list[int]) -> Graph:
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _shuffled(n: int, rng: random.Random) -> list[int]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def _complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
+
+
+def test_canonical_form_matches_bruteforce_order_6(catalog):
+    rng = random.Random(6)
+    for g in catalog(6):
+        relabeled = _relabel(g, _shuffled(6, rng))
+        assert encode_graph6(canonical_form(relabeled)) == _min_encoding_over_all_perms(relabeled)
+
+
+def test_canonical_form_inverts_relabeling_order_7(catalog):
+    rng = random.Random(7)
+    for g in catalog(7):
+        assert canonical_form(_relabel(g, _shuffled(7, rng))) == g
+
+
+def test_canonical_form_twin_heavy_graphs():
+    """Twin pruning skips whole subtrees, so check it where most vertices
+    have twins: classes of false twins (independent sets with equal
+    neighbourhoods) and, in the complements, of true twins."""
+    two_triangles = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    k223 = _complement(Graph.from_edges(7, [(0, 1), (2, 3), (4, 5), (4, 6), (5, 6)]))
+    rng = random.Random(3)
+    for base in (complete_bipartite(3, 4), two_triangles, k223):
+        for g in (base, _complement(base)):
+            expected = _min_encoding_over_all_perms(g)
+            for _ in range(5):
+                assert encode_graph6(canonical_form(_relabel(g, _shuffled(7, rng)))) == expected
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(10, 10), empty_graph(20), complete_graph(20)],
+                         ids=["K10,10", "empty20", "K20"])
+def test_canonical_form_finishes_on_twin_classes(g):
+    relabeled = _relabel(g, _shuffled(20, random.Random(20)))
+    started = time.monotonic()
+    canon = canonical_form(relabeled)
+    assert time.monotonic() - started <= 2.0
+    # the minimal encoding puts a largest independent set first
+    assert canon == g
+
+
+def test_catalog_ingest_canonical_dedup_order_20(tmp_path: Path):
+    k10 = complete_bipartite(10, 10)
+    rng = random.Random(10)
+    path = tmp_path / "k10_10.g6"
+    path.write_text("".join(encode_graph6(_relabel(k10, _shuffled(20, rng))) + "\n" for _ in range(8)),
+                    encoding="ascii")
+    started = time.monotonic()
+    cat = enumerate_catalog(20, path=str(path), dedup="canonical")
+    assert time.monotonic() - started <= 2.0
+    assert len(cat) == 1
+
+
 def test_canonical_form_is_isomorphism_invariant():
     w7 = cycle_graph(7)
     relabeled = Graph.from_edges(7, [((u + 3) % 7, (v + 3) % 7) for u, v in w7.edges()])
@@ -130,6 +201,19 @@ def test_catalog_ingest_errors_and_lenient(tmp_path: Path):
     assert len(cat) == 1  # the order-3 line is dropped too
     with pytest.raises(FileUnreadable):
         enumerate_catalog(5, path=str(tmp_path / "missing.g6"))
+
+
+def test_catalog_ingest_non_ascii_line(tmp_path: Path):
+    path = tmp_path / "accented.g6"
+    path.write_bytes("A_\né\n".encode("utf-8"))
+    with pytest.raises(MalformedEncoding, match=r"accented\.g6:2: byte out of graph6 range"):
+        enumerate_catalog(2, path=str(path))
+    with pytest.raises(MalformedEncoding, match=r"accented\.g6:2:"):
+        read_graph6_lines(str(path))
+    assert enumerate_catalog(2, path=str(path), lenient=True).graph6_lines == ("A_",)
+    good, bad = read_graph6_lines(str(path), lenient=True)
+    assert good == [(1, "A_")]
+    assert [lineno for lineno, _message in bad] == [2]
 
 
 def test_catalog_ingest_canonical_dedup(tmp_path: Path):
