@@ -24,6 +24,7 @@ from .errors import (
     OrderTooSmall,
     ParityMismatch,
     PreconditionUnmet,
+    ResumeMismatch,
     TheoremViolated,
     UnsupportedOrder,
     VertexOutOfRange,

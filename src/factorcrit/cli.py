@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--jsonl", help="stream one JSON record per graph to this path")
     p.add_argument("--resume-lines", type=int, default=0,
-                   help="skip this many leading catalog entries (resume a sweep)")
+                   help="skip this many leading catalog entries (resume a sweep); "
+                        "the --jsonl file must hold exactly their records")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("hunt", help="hunt counterexamples across orders")

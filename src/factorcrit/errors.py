@@ -73,5 +73,9 @@ class FileUnreadable(FactorCritError):
     """A catalog file could not be opened or read."""
 
 
+class ResumeMismatch(FactorCritError):
+    """A JSONL file to resume does not hold exactly the records being skipped."""
+
+
 class OrderTooLargeForGenerate(FactorCritError):
     """Built-in generation only covers small orders; ingest a catalog instead."""

@@ -25,6 +25,19 @@ same codes.  Twin pruning makes complete, empty and complete bipartite
 graphs cheap at any order; graphs whose automorphisms twin swaps do not
 generate, such as cycles and cocktail-party graphs, still cost exponential
 time.
+
+Generation tests one extension per orbit of the parent's automorphism group.
+An extension of a parent P of order m-1 is a mask, the neighbours of the new
+vertex m-1; the child P+mask shares P's columns and its last column's code
+is the bit-reverse of the mask.  If s is an automorphism of P and s(mask)
+has a smaller code than mask, relabelling P+mask by s, with the new vertex
+fixed, gives P+s(mask): the same first columns and a smaller last one, so
+P+mask is not minimal.  Only the mask with the smallest code in its orbit
+can pass, and the others are skipped untested.  The group comes for free
+from P's own accepted orderly test, which walks every labeling that ties
+the identity: each leaf it reaches is an automorphism, and each twin swap it
+prunes is one too.  Together they generate Aut(P), since every automorphism
+either is a leaf or maps to one under the swaps of the subtrees it enters.
 """
 
 from __future__ import annotations
@@ -41,6 +54,7 @@ from .errors import (
     MalformedEncoding,
     OrderTooLargeForGenerate,
     ParityMismatch,
+    ResumeMismatch,
     TheoremViolated,
 )
 from .graph import Graph, degree_profile, encode_graph6, parse_graph6
@@ -68,36 +82,58 @@ DEDUP_CANONICAL = "canonical"
 CONFIG_COMPLETENESS = "config-completeness"
 CONFIG_PREDICATES = "config-predicates"
 
+# A graph of the previous generation level as its rows, with the non-identity
+# generators of its automorphism group as permutation tuples.
+_Parent = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
-def _min_columns(adj: Sequence[int], n: int, orderly: bool) -> list[int] | None:
+# One encoder for every JSONL record: json.dumps builds a new one per call.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _column_codes(adj: Sequence[int], n: int) -> list[int]:
+    """Column codes of the identity labeling: ``codes[j]`` (1 <= j < n) holds
+    column j, bit j-1-i being the cell (i, j); ``codes[0]`` is 0."""
+    codes = [0] * n
+    for j in range(1, n):
+        row = adj[j]
+        code = 0
+        for i in range(j):
+            code = (code << 1) | (row >> i & 1)
+        codes[j] = code
+    return codes
+
+
+def _min_columns(
+    adj: Sequence[int], best: list[int], orderly: bool, autos: set | None = None
+) -> list[int] | None:
     """Column codes of the lexicographically minimal relabeling of ``adj``.
 
-    ``codes[j]`` (1 <= j < n) holds column j, bit j-1-i being the cell (i, j);
-    ``codes[0]`` is 0.  One depth-first branch and bound over labelings
-    serves both callers, with the identity labeling as the first best.  With
-    ``orderly`` it returns None at the first column that comes out smaller,
-    and otherwise the identity's codes: the orderly test.  Without it, a
-    smaller column replaces the best codes from that column on, and every
-    later position takes the smallest code it can reach.
+    ``best`` holds the identity's column codes (``_column_codes``), which
+    one depth-first branch and bound over labelings starts from as the best
+    so far.  With ``orderly`` it returns None at the first column that comes
+    out smaller, and otherwise ``best`` unchanged: the orderly test.  Then
+    every leaf it reaches ties the identity and so is an automorphism, and
+    ``autos``, if given, receives each as a tuple of the vertex at each
+    position, plus each twin swap it prunes as the int with the two
+    vertices' bits.  Without ``orderly``, a smaller column replaces the best
+    codes from that column on, and every later position takes the smallest
+    code it can reach.
 
     The candidates for position j are a vertex bitset, narrowed against each
     placed vertex's row in turn while following the best column's bit for
     that vertex.  Twins of a candidate already explored at the same depth
     are skipped (see the module docstring).
     """
-    best = [0] * n
-    for j in range(1, n):
-        row = adj[j]
-        code = 0
-        for i in range(j):
-            code = (code << 1) | (row >> i & 1)
-        best[j] = code
+    n = len(best)
     placed = [0] * n  # row of the vertex at each filled position
+    labels = [0] * n  # the vertex itself
     bounded = n  # positions below this one are bounded by ``best``
 
     def dfs(j: int, unplaced: int) -> bool:
         nonlocal bounded
         if j == n:
+            if autos is not None:
+                autos.add(tuple(labels))
             return True
         cand = unplaced
         if j:
@@ -136,7 +172,8 @@ def _min_columns(adj: Sequence[int], n: int, orderly: bool) -> list[int] | None:
         while cand:
             low = cand & -cand
             cand ^= low
-            row = adj[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            row = adj[v]
             rest = explored
             while rest:
                 other = rest & -rest
@@ -144,9 +181,12 @@ def _min_columns(adj: Sequence[int], n: int, orderly: bool) -> list[int] | None:
                     break
                 rest ^= other
             if rest:  # a twin of an explored candidate
+                if autos is not None:
+                    autos.add(low | other)
                 continue
             explored |= low
             placed[j] = row
+            labels[j] = v
             if not dfs(j + 1, unplaced ^ low):
                 return False
         return True
@@ -156,7 +196,7 @@ def _min_columns(adj: Sequence[int], n: int, orderly: bool) -> list[int] | None:
 
 def canonical_form(g: Graph) -> Graph:
     """The isomorph of ``g`` with the lexicographically minimal encoding."""
-    codes = _min_columns(g.adj, g.n, orderly=False)
+    codes = _min_columns(g.adj, _column_codes(g.adj, g.n), orderly=False)
     rows = [0] * g.n
     for j in range(1, g.n):
         code = codes[j]
@@ -182,21 +222,87 @@ def generate_nonisomorphic(n: int) -> Iterator[Graph]:
     if n == 1:
         yield Graph._trusted(1, (0,))
         return
-    level: list[tuple[int, ...]] = [(0,)]
+    level: list[_Parent] = [((0,), ())]
     for m in range(2, n):
-        level = list(_extend_level(level, m))
-    for adj in _extend_level(level, n):
+        level = [(adj, _generators(autos, m)) for adj, autos in _extend_level(level, m)]
+    for adj, _autos in _extend_level(level, n):
         yield Graph._trusted(n, adj)
 
 
-def _extend_level(parents: Iterable[tuple[int, ...]], m: int) -> Iterator[tuple[int, ...]]:
+def _extend_level(parents: Iterable[_Parent], m: int) -> Iterator[tuple[tuple[int, ...], set]]:
+    """The canonical children of order ``m`` of each parent, with the
+    automorphisms their orderly tests met.
+
+    A child's columns 1..m-2 are its parent's and its last column's code is
+    the bit-reverse of the mask, so both are computed once; only the masks
+    that ``_orbit_leaders`` keeps are tested."""
     top = m - 1
-    for parent in parents:
-        for mask in range(1 << top):
+    reverse = _subset_images(range(top - 1, -1, -1))  # mask -> last-column code
+    autos: set = set()
+    for parent, gens in parents:
+        codes = _column_codes(parent, top)
+        codes.append(0)
+        for mask in _orbit_leaders(gens, top, reverse):
             adj = [parent[v] | ((mask >> v & 1) << top) for v in range(top)]
             adj.append(mask)
-            if _min_columns(adj, m, orderly=True) is not None:
-                yield tuple(adj)
+            codes[top] = reverse[mask]
+            if _min_columns(adj, codes, orderly=True, autos=autos) is not None:
+                yield tuple(adj), autos
+                autos = set()
+            else:
+                autos.clear()
+
+
+def _generators(autos: set, n: int) -> tuple[tuple[int, ...], ...]:
+    """The non-identity permutations among ``_min_columns``'s automorphisms,
+    with each twin swap written out as a permutation."""
+    identity = tuple(range(n))
+    gens = set()
+    for auto in autos:
+        if isinstance(auto, int):  # the two bits of a twin swap
+            perm = list(identity)
+            a, b = (v for v in identity if auto >> v & 1)
+            perm[a], perm[b] = b, a
+            auto = tuple(perm)
+        gens.add(auto)
+    gens.discard(identity)
+    return tuple(gens)
+
+
+def _subset_images(perm: Sequence[int]) -> list[int]:
+    """The image of every vertex subset (a mask) under ``perm``, as a table."""
+    images = [0]
+    for v in perm:
+        bit = 1 << v
+        images += [image | bit for image in images]
+    return images
+
+
+def _orbit_leaders(gens: Sequence[Sequence[int]], top: int, reverse: list[int]) -> Iterable[int]:
+    """One mask per orbit of the group that ``gens`` generate on the subsets
+    of vertices 0..top-1, in increasing order: the one whose last-column code
+    ``reverse[mask]`` is smallest, the only one whose extension can be
+    canonical (see the module docstring)."""
+    if not gens:
+        return range(1 << top)
+    tables = [_subset_images(perm) for perm in gens]
+    seen = bytearray(1 << top)
+    leaders = []
+    for mask in reverse:  # reverse is an involution: masks by increasing code
+        if seen[mask]:
+            continue
+        leaders.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            orbit_member = stack.pop()
+            for images in tables:
+                image = images[orbit_member]
+                if not seen[image]:
+                    seen[image] = 1
+                    stack.append(image)
+    leaders.sort()
+    return leaders
 
 
 @dataclass(frozen=True)
@@ -425,8 +531,11 @@ def survey(
     Deterministic: records are aggregated in catalog order regardless of
     ``jobs``.  ``jsonl_path`` streams one JSON line per graph so long sweeps
     can resume by passing the line count as ``skip`` (the report then covers
-    the remainder only).  ``invert_conjecture`` flips the minimum-degree
-    verdict and exists solely so tests can prove the hunter detects plants.
+    the remainder only).  A resumed file must hold exactly ``skip`` complete
+    records, for the first ``skip`` catalog graphs in order, or
+    ``ResumeMismatch`` is raised; a torn last line left by a crash is cut
+    off first.  ``invert_conjecture`` flips the minimum-degree verdict and
+    exists solely so tests can prove the hunter detects plants.
     """
     n = catalog.n
     if not 1 <= k <= n - 2:
@@ -435,16 +544,46 @@ def survey(
         raise ParityMismatch(f"k={k} and order {n} have different parity")
     report = SurveyReport(n=n, k=k, source=catalog.source)
     lines = catalog.graph6_lines[skip:]
+    if jsonl_path is not None and skip:
+        _check_resume(jsonl_path, catalog.graph6_lines, skip)
     sink = open(jsonl_path, "a" if skip else "w", encoding="utf-8") if jsonl_path else None
     try:
         for record in _iter_records(lines, k, jobs, invert_conjecture):
             if sink is not None:
-                sink.write(json.dumps(record, sort_keys=True) + "\n")
+                sink.write(_JSONL_ENCODER.encode(record) + "\n")
             _fold_record(report, record, raise_on_violation, on_minimal)
     finally:
         if sink is not None:
             sink.close()
     return report
+
+
+def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
+    """Check that ``path`` holds one complete record for each of the first
+    ``skip`` catalog ``lines``, in order, then cut off any trailing fragment
+    without a newline so that appending continues the stream."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise ResumeMismatch(f"cannot resume {path}: {exc}") from exc
+    complete = data[:data.rfind(b"\n") + 1]
+    records = complete.splitlines()
+    if len(records) != skip or len(lines) < skip:
+        raise ResumeMismatch(
+            f"{path} holds {len(records)} complete records; resuming after {skip} "
+            f"of {len(lines)} catalog graphs needs exactly {skip}"
+        )
+    for lineno, (raw, line) in enumerate(zip(records, lines), start=1):
+        try:
+            graph6 = json.loads(raw).get("graph6")
+        except (ValueError, AttributeError):
+            graph6 = None
+        if graph6 != line:
+            raise ResumeMismatch(f"{path}:{lineno}: not the record of catalog graph {line}")
+    if len(complete) < len(data):
+        with open(path, "r+b") as handle:
+            handle.truncate(len(complete))
 
 
 def _iter_records(lines: Sequence[str], k: int, jobs: int, invert: bool) -> Iterator[dict]:

@@ -58,6 +58,9 @@ from factorcrit.errors import (
 from factorcrit.matching import PerfectMatcher
 from factorcrit.verifiers import _has_path_of_three_edges
 
+# Deselect with ``pytest -m "not acceptance"`` for a fast local loop.
+pytestmark = pytest.mark.acceptance
+
 SMALL_ORDER_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 

@@ -111,6 +111,18 @@ def test_survey_usage_errors(capsys):
     assert code == 2 and "--n" in err
 
 
+def test_survey_resume_mismatch_exits_2(tmp_path: Path, capsys):
+    path = tmp_path / "records.jsonl"
+    argv = ["survey", "--gen", "5", "--k", "1", "--jobs", "1", "--jsonl", str(path)]
+    assert run_cli(argv, capsys=capsys)[0] == 0
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+    code, _, err = run_cli(argv + ["--resume-lines", "20"], capsys=capsys)
+    assert code == 2
+    assert "exactly 20" in err
+    assert run_cli(argv + ["--resume-lines", "10"], capsys=capsys)[0] == 0
+    assert len(path.read_text().splitlines()) == 34
+
+
 def test_gen_counts(capsys):
     code, out, err = run_cli(["gen", "4"], capsys=capsys)
     assert code == 0

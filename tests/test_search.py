@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from factorcrit import (
     MalformedEncoding,
     OrderTooLargeForGenerate,
     ParityMismatch,
+    ResumeMismatch,
     canonical_form,
     canonical_graph6,
     complete_bipartite,
@@ -33,9 +35,12 @@ from factorcrit import (
     survey,
     valid_k_values,
 )
+from factorcrit import search
 from factorcrit.search import read_graph6_lines
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# graphs of order m with one distinguished vertex, up to isomorphism (OEIS A000666)
+ROOTED_COUNTS = {2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096}
 
 
 def _burnside_count(n: int) -> int:
@@ -111,6 +116,43 @@ def test_generate_order_gate():
         list(generate_nonisomorphic(10))
     with pytest.raises(KOutOfRange):
         list(generate_nonisomorphic(0))
+
+
+def test_orderly_tests_per_level_equal_rooted_graph_counts(monkeypatch):
+    """Level m tests one extension per orbit of each parent's automorphism
+    group on the masks, and those orbits are the rooted graphs of order m.
+    The count holds only if the automorphisms that each accepted parent's
+    orderly test met generate its full group."""
+    tested: collections.Counter = collections.Counter()
+    min_columns = search._min_columns
+
+    def counting(adj, best, orderly, autos=None):
+        tested[len(best)] += orderly
+        return min_columns(adj, best, orderly, autos)
+
+    monkeypatch.setattr(search, "_min_columns", counting)
+    assert sum(1 for _ in generate_nonisomorphic(7)) == KNOWN_COUNTS[7]
+    assert dict(tested) == ROOTED_COUNTS
+
+
+def test_orbit_filter_skips_only_rejected_extensions():
+    level = [((0,), ())]
+    for m in range(2, 7):
+        level = [(adj, search._generators(autos, m)) for adj, autos in search._extend_level(level, m)]
+    assert len(level) == KNOWN_COUNTS[6]
+    top = 6
+    reverse = search._subset_images(range(top - 1, -1, -1))
+    skipped = 0
+    for parent, gens in level:
+        for perm in gens:
+            assert all(parent[perm[v]] == sum(1 << perm[u] for u in range(top) if parent[v] >> u & 1)
+                       for v in range(top))
+        leaders = set(search._orbit_leaders(gens, top, reverse))
+        for mask in set(range(1 << top)) - leaders:
+            skipped += 1
+            adj = [parent[v] | ((mask >> v & 1) << top) for v in range(top)] + [mask]
+            assert search._min_columns(adj, search._column_codes(adj, 7), orderly=True) is None
+    assert skipped == KNOWN_COUNTS[6] * (1 << top) - ROOTED_COUNTS[7]
 
 
 def _relabel(g: Graph, perm: list[int]) -> Graph:
@@ -291,17 +333,58 @@ def test_survey_output_matches_golden_order_7(tmp_path: Path, jobs):
         assert hashlib.sha256(payload).hexdigest() == report_sha, k
 
 
+def _full_jsonl(tmp_path: Path, cat: Catalog) -> tuple[Path, bytes]:
+    path = tmp_path / "records.jsonl"
+    survey(cat, 1, jsonl_path=str(path))
+    return path, path.read_bytes()
+
+
 def test_survey_jsonl_stream_and_resume(tmp_path: Path, catalog):
     cat = Catalog.from_graphs(5, catalog(5))
-    path = tmp_path / "records.jsonl"
-    full = survey(cat, 1, jsonl_path=str(path))
-    lines = path.read_text().splitlines()
+    path, data = _full_jsonl(tmp_path, cat)
+    lines = data.decode().splitlines()
     assert len(lines) == 34
     first = json.loads(lines[0])
     assert set(first) >= {"graph6", "kfc", "minimal"}
+    path.write_text("".join(line + "\n" for line in lines[:30]))
     resumed = survey(cat, 1, jsonl_path=str(path), skip=30)
     assert resumed.total == 4
-    assert len(path.read_text().splitlines()) == 34 + 4
+    assert path.read_bytes() == data
+
+
+def test_survey_resume_drops_torn_last_line(tmp_path: Path, catalog):
+    cat = Catalog.from_graphs(5, catalog(5))
+    path, data = _full_jsonl(tmp_path, cat)
+    lines = data.decode().splitlines(keepends=True)
+    path.write_text("".join(lines[:30]) + lines[30][:len(lines[30]) // 2])
+    assert survey(cat, 1, jsonl_path=str(path), skip=30).total == 4
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("kept", [29, 34], ids=["short", "long"])
+def test_survey_resume_rejects_wrong_record_count(tmp_path: Path, catalog, kept):
+    cat = Catalog.from_graphs(5, catalog(5))
+    path, data = _full_jsonl(tmp_path, cat)
+    partial = "".join(data.decode().splitlines(keepends=True)[:kept])
+    path.write_text(partial)
+    with pytest.raises(ResumeMismatch, match="exactly 30"):
+        survey(cat, 1, jsonl_path=str(path), skip=30)
+    assert path.read_text() == partial
+    with pytest.raises(ResumeMismatch):
+        survey(cat, 1, jsonl_path=str(tmp_path / "missing.jsonl"), skip=30)
+
+
+def test_survey_resume_rejects_wrong_prefix(tmp_path: Path, catalog):
+    cat = Catalog.from_graphs(5, catalog(5))
+    path, data = _full_jsonl(tmp_path, cat)
+    lines = data.decode().splitlines(keepends=True)
+    swapped = lines[:3] + [lines[4], lines[3]] + lines[5:30]
+    path.write_text("".join(swapped))
+    with pytest.raises(ResumeMismatch, match=r"records\.jsonl:4:"):
+        survey(cat, 1, jsonl_path=str(path), skip=30)
+    path.write_text("".join(lines[:5]) + "not json\n" + "".join(lines[6:30]))
+    with pytest.raises(ResumeMismatch, match=r"records\.jsonl:6:"):
+        survey(cat, 1, jsonl_path=str(path), skip=30)
 
 
 def test_survey_counterexample_entries_reparse(catalog):
