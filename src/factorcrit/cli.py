@@ -34,6 +34,7 @@ from .configurations import (
 )
 from .verifiers import check_n4_characterization, minimal_verdicts
 from .search import (
+    _check_generate_order,
     enumerate_catalog,
     generate_nonisomorphic,
     hunt_counterexamples,
@@ -96,13 +97,15 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     return out
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str], ok: bool = True) -> int:
+    """Print the payload or the text lines; the exit code for ``ok``."""
     if args.json:
         payload["schema"] = SCHEMA
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_pm(args: argparse.Namespace) -> int:
@@ -121,8 +124,7 @@ def _cmd_pm(args: argparse.Namespace) -> int:
                 results[-1]["violator"] = cert.to_json()
                 lines.append(f"  deficiency witness X={bits_list(cert.x_set)} "
                              f"odd components {cert.partition.odd_count}")
-    _emit(args, {"command": "pm", "results": results}, lines)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return _emit(args, {"command": "pm", "results": results}, lines, all_ok)
 
 
 def _cmd_kfc(args: argparse.Namespace) -> int:
@@ -135,8 +137,7 @@ def _cmd_kfc(args: argparse.Namespace) -> int:
         state = "yes" if report.verdict else f"no, failing set {bits_list(report.failing_set)}"
         lines.append(f"{label}: {args.k}-factor-critical: {state}")
         all_ok = all_ok and report.verdict
-    _emit(args, {"command": "kfc", "results": results}, lines)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return _emit(args, {"command": "kfc", "results": results}, lines, all_ok)
 
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
@@ -148,8 +149,7 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
         results.append({"graph6": encode_graph6(g), "k": args.k, "minimal": minimal})
         lines.append(f"{label}: minimally {args.k}-factor-critical: {'yes' if minimal else 'no'}")
         all_ok = all_ok and minimal
-    _emit(args, {"command": "minimal", "results": results}, lines)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return _emit(args, {"command": "minimal", "results": results}, lines, all_ok)
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
@@ -173,8 +173,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                 + ("none (edge removable)" if witness is None else str(bits_list(witness)))
             )
         all_ok = all_ok and found
-    _emit(args, {"command": "witness", "results": results}, lines)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return _emit(args, {"command": "witness", "results": results}, lines, all_ok)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -189,8 +188,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         lines.append(f"{label}: configuration {match.label}"
                      + (" (ambiguous)" if match.ambiguity_flag else ""))
         all_ok = all_ok and match.label != UNCLASSIFIED
-    _emit(args, {"command": "classify", "results": results}, lines)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return _emit(args, {"command": "classify", "results": results}, lines, all_ok)
 
 
 def _cmd_predicates(args: argparse.Namespace) -> int:
@@ -215,8 +213,7 @@ def _cmd_predicates(args: argparse.Namespace) -> int:
             else:
                 lines.append(f"{label}: edge {e}: no classification ({entry.note})")
             results.append(item)
-    _emit(args, {"command": "predicates", "results": results}, lines)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return _emit(args, {"command": "predicates", "results": results}, lines, all_ok)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -247,12 +244,8 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         catalog = enumerate_catalog(args.gen)
     else:
         catalog = enumerate_catalog(args.n, path=args.file, lenient=args.lenient)
-    try:
-        report = survey(catalog, args.k, jobs=args.jobs, jsonl_path=args.jsonl,
-                        skip=args.resume_lines)
-    except TheoremViolated as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    report = survey(catalog, args.k, jobs=args.jobs, jsonl_path=args.jsonl,
+                    skip=args.resume_lines)
     payload = report.to_json()
     lines = [
         f"order {report.n}, k={report.k}: {report.total} graphs, "
@@ -261,8 +254,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         f"{payload['min_degree_distribution']}",
         f"counterexamples: {len(report.counterexamples)}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK if not report.counterexamples else EXIT_FAIL
+    return _emit(args, payload, lines, not report.counterexamples)
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
@@ -274,11 +266,11 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     payload = {"command": "hunt", "counterexamples": [list(c) for c in found]}
     lines = [f"{g6}: fails {theorem}" for g6, theorem in found]
     lines.append(f"{len(found)} counterexamples")
-    _emit(args, payload, lines)
-    return EXIT_OK if not found else EXIT_FAIL
+    return _emit(args, payload, lines, not found)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _check_generate_order(args.n)  # before --out is opened and truncated
     count = 0
     sink = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:

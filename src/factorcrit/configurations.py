@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     FamilyPreconditionUnmet,
+    NotCritical,
     NotDeficient,
     NotMinimallyCritical,
     NotRestorable,
@@ -32,7 +33,7 @@ from .graph import (
     remove_edge,
 )
 from .matching import PerfectMatcher, TutteCertificate, tutte_violators
-from .criticality import is_minimally_kfc, minimality_witness
+from .criticality import minimality_certificate
 
 FAMILY_A = "A"
 FAMILY_B = "B"
@@ -276,16 +277,14 @@ def _distinct_attachments(adj, u: int, v: int, xs: list[int]) -> tuple[int, int]
     return None
 
 
-def classify_residual(inst: ResidualInstance, verify_all_minimal: bool = True) -> ConfigurationMatch:
+def classify_residual(inst: ResidualInstance) -> ConfigurationMatch:
     """Assign a configuration label to a residual instance.
 
-    Classification keys on the first minimum-cardinality deficiency
-    certificate; with ``verify_all_minimal`` every certificate of that
-    cardinality is classified and disagreements set ``ambiguity_flag`` while
-    the lexicographically smallest label is reported.
+    Every minimum-cardinality deficiency certificate is classified; the
+    lexicographically smallest label is reported, and ``ambiguity_flag`` is
+    set when the certificates disagree.
     """
-    mode = "all-minimal" if verify_all_minimal else "first-minimal"
-    certs = tutte_violators(inst.gprime, mode)
+    certs = tutte_violators(inst.gprime, "all-minimal")
     entries = []
     for cert in certs:
         label, roles, meta = _match_template(inst.gprime, inst.u, inst.v, inst.family, cert)
@@ -340,23 +339,21 @@ def residual_family(g: Graph, k: int, e: tuple[int, int]) -> str | None:
     return FAMILY_A
 
 
-def certify_minimal_edges(
-    g: Graph, k: int, verify_minimal: bool = True
-) -> dict[tuple[int, int], EdgeClassification]:
+def certify_minimal_edges(g: Graph, k: int) -> dict[tuple[int, int], EdgeClassification]:
     """Witness set and residual classification for every edge.
 
-    The graph must be minimally k-factor-critical.  Edges whose residual has
-    no configuration family, or whose residual fails the family's
-    admissibility preconditions, still receive their witness with the
-    classification left empty and the reason noted.
+    The graph must be minimally k-factor-critical; the witnesses are those of
+    its ``minimality_certificate``.  Edges whose residual has no
+    configuration family, or whose residual fails the family's admissibility
+    preconditions, still receive their witness with the classification left
+    empty and the reason noted.
     """
-    if verify_minimal and not is_minimally_kfc(g, k):
-        raise NotMinimallyCritical(f"graph is not minimally {k}-factor-critical")
+    try:
+        witnesses = minimality_certificate(g, k).witnesses
+    except (NotCritical, NotMinimallyCritical) as exc:
+        raise NotMinimallyCritical(f"graph is not minimally {k}-factor-critical") from exc
     out: dict[tuple[int, int], EdgeClassification] = {}
-    for e in g.edges():
-        witness = minimality_witness(g, k, e)
-        if witness is None:
-            raise NotMinimallyCritical(f"edge {e} has no witness set")
+    for e, witness in witnesses.items():
         family = residual_family(g, k, e)
         if family is None:
             out[e] = EdgeClassification(
@@ -407,12 +404,6 @@ class PredicateReport:
         }
 
 
-def _ambient_roles(g: Graph, e: tuple[int, int], s_mask: int, match: ConfigurationMatch) -> dict[str, int]:
-    _, index_map = delete_vertices(g, s_mask)
-    inverse = {new: old for old, new in index_map.items()}
-    return {name: inverse[idx] for name, idx in match.roles.items()}
-
-
 def config_predicates(
     g: Graph, e: tuple[int, int], s_mask: int, match: ConfigurationMatch
 ) -> PredicateReport:
@@ -430,7 +421,8 @@ def config_predicates(
     if not hypothesis or match.label == UNCLASSIFIED:
         return PredicateReport(match.label, family, hypothesis, ())
 
-    roles = _ambient_roles(g, e, s_mask, match)
+    kept = bits_list(g.vertex_mask & ~s_mask)  # residual index -> vertex of g
+    roles = {name: kept[idx] for name, idx in match.roles.items()}
     ru, rv = roles["u"], roles["v"]
     common = non_neighborhood(g, ru) & non_neighborhood(g, rv)
     size = common.bit_count()

@@ -5,6 +5,13 @@ perfect matching, and minimally so when additionally no single edge can be
 dropped without destroying the property.  The definitional sweep and the
 odd-component counting characterization are implemented independently and the
 suite asserts they agree.
+
+A witness set for an edge e = uv is a k-set S avoiding u and v such that e is
+forced in G - S: G - S has a perfect matching and every one of them uses e.
+That holds exactly when G - S has a perfect matching and (G - e) - S has
+none, so the witness search asks one memoized matcher on G and one on G - e
+about the surviving vertex mask V - S; no subgraph is built per k-set, and
+G's matcher is shared across the edges of a certificate.
 """
 
 from __future__ import annotations
@@ -28,11 +35,10 @@ from .graph import (
     add_edge,
     bits_list,
     connectivity,
-    delete_vertices,
     mask_from,
     remove_edge,
 )
-from .matching import PerfectMatcher, forced_edge
+from .matching import PerfectMatcher
 
 METHOD_DEFINITIONAL = "definitional"
 METHOD_TUTTE = "tutte-type"
@@ -155,15 +161,23 @@ def iter_minimality_witnesses(g: Graph, k: int, e: tuple[int, int]) -> Iterator[
     Does not verify that g is k-factor-critical; witness existence only links
     to minimality of the edge under that precondition.
     """
+    return _edge_witnesses(g, k, e, PerfectMatcher(g))
+
+
+def _edge_witnesses(g: Graph, k: int, e: tuple[int, int], matcher: PerfectMatcher) -> Iterator[int]:
+    """The witness search behind ``iter_minimality_witnesses``; ``matcher``
+    is g's own and may be shared across edges."""
     u, v = e
     if not g.has_edge(u, v):
         raise EdgeAbsent(f"edge {u}-{v} not in graph")
     _validate_k(g, k)
+    without_e = PerfectMatcher(remove_edge(g, u, v))
+    full = g.vertex_mask
     others = [w for w in range(g.n) if w != u and w != v]
     for subset in combinations(others, k):
         s_mask = mask_from(subset)
-        residual, index_map = delete_vertices(g, s_mask)
-        if forced_edge(residual, (index_map[u], index_map[v])):
+        rest = full & ~s_mask
+        if not without_e.pm_exists(rest) and matcher.pm_exists(rest):
             yield s_mask
 
 
@@ -183,11 +197,12 @@ def minimality_witness(g: Graph, k: int, e: tuple[int, int]) -> int | None:
 
 def minimality_certificate(g: Graph, k: int) -> MinimalityCertificate:
     """Witness sets for every edge; raises if the graph is not minimal."""
-    if not is_k_factor_critical(g, k).verdict:
+    matcher = PerfectMatcher(g)
+    if not is_k_factor_critical(g, k, matcher).verdict:
         raise NotCritical(f"graph is not {k}-factor-critical")
     witnesses: dict[tuple[int, int], int] = {}
     for e in g.edges():
-        found = next(iter_minimality_witnesses(g, k, e), None)
+        found = next(_edge_witnesses(g, k, e, matcher), None)
         if found is None:
             raise NotMinimallyCritical(f"edge {e} has no witness set")
         witnesses[e] = found

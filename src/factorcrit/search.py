@@ -68,9 +68,12 @@ from .configurations import (
     config_predicates,
 )
 from .verifiers import (
+    CONFIG_COMPLETENESS,
+    CONFIG_PREDICATES,
     MIN_DEGREE_CONJECTURE,
     MIN_DEGREE_OFFSET_8,
     MIN_DEGREE_PROVEN,
+    STATEMENTS,
     minimal_verdicts,
 )
 
@@ -78,9 +81,6 @@ GENERATE_MAX_ORDER = 9
 
 DEDUP_AS_IS = "as-is"
 DEDUP_CANONICAL = "canonical"
-
-CONFIG_COMPLETENESS = "config-completeness"
-CONFIG_PREDICATES = "config-predicates"
 
 # A graph of the previous generation level as its rows, with the non-identity
 # generators of its automorphism group as permutation tuples.
@@ -211,14 +211,18 @@ def canonical_graph6(g: Graph) -> str:
     return encode_graph6(canonical_form(g))
 
 
-def generate_nonisomorphic(n: int) -> Iterator[Graph]:
-    """Stream every isomorphism class of order ``n`` exactly once."""
+def _check_generate_order(n: int) -> None:
     if n < 1:
         raise KOutOfRange("order must be at least 1")
     if n > GENERATE_MAX_ORDER:
         raise OrderTooLargeForGenerate(
             f"built-in generation stops at order {GENERATE_MAX_ORDER}; ingest a catalog"
         )
+
+
+def generate_nonisomorphic(n: int) -> Iterator[Graph]:
+    """Stream every isomorphism class of order ``n`` exactly once."""
+    _check_generate_order(n)
     if n == 1:
         yield Graph._trusted(1, (0,))
         return
@@ -478,7 +482,7 @@ def _survey_record(line: str, k: int, invert_conjecture: bool) -> dict:
         record["verdicts"] = verdicts
         if g.n - k in (6, 8):
             config: dict = {"labels": {}, "ambiguous": 0, "pred_passed": 0, "pred_failed": 0, "vacuous_edges": 0, "skipped_edges": 0}
-            for e, entry in certify_minimal_edges(g, k, verify_minimal=False).items():
+            for e, entry in certify_minimal_edges(g, k).items():
                 if entry.match is None:
                     config["skipped_edges"] += 1
                     continue
@@ -508,12 +512,6 @@ def _survey_record(line: str, k: int, invert_conjecture: bool) -> dict:
 def _survey_chunk(args: tuple[list[str], int, bool]) -> list[dict]:
     lines, k, invert = args
     return [_survey_record(line, k, invert) for line in lines]
-
-
-# Verdicts proven on every graph a desk-scale sweep can reach; a failure on
-# one of these aborts the sweep instead of piling up counterexamples.
-_PROVEN = {"T1.1", "C1.2", "T4.1", "L2.5", "C2.7", "L3.1", "T5.3", "T5.4", "T5.5",
-           CONFIG_COMPLETENESS, CONFIG_PREDICATES}
 
 
 def survey(
@@ -644,7 +642,7 @@ def _fold_record(
         report.predicate_counts["skipped_edges"] += config["skipped_edges"]
     for theorem in record.get("failures", ()):
         report.counterexamples.append((line, theorem))
-        if raise_on_violation and theorem in _PROVEN:
+        if raise_on_violation and STATEMENTS[theorem] == "proven":
             raise TheoremViolated(f"{theorem} failed on {line}")
 
 

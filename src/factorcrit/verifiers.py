@@ -27,6 +27,18 @@ N4_CHARACTERIZATION = "L3.1"
 MAXDEG_N2_PROFILE = "T5.3"
 MAXDEG_N3_PROFILE = "T5.4"
 MAXDEG_N4_PROFILE = "T5.5"
+CONFIG_COMPLETENESS = "config-completeness"
+CONFIG_PREDICATES = "config-predicates"
+
+# Every statement id a sweep can report, "proven" or "open".  A proven
+# statement holds on every graph a desk-scale sweep can reach, so its failure
+# aborts the sweep instead of piling up counterexamples.
+STATEMENTS = dict.fromkeys(
+    (DEGREE_BOUND, MIN_DEGREE_PROVEN, MIN_DEGREE_OFFSET_8, STAR_STRUCTURE, TWO_MAXDEG,
+     N4_CHARACTERIZATION, MAXDEG_N2_PROFILE, MAXDEG_N3_PROFILE, MAXDEG_N4_PROFILE,
+     CONFIG_COMPLETENESS, CONFIG_PREDICATES),
+    "proven",
+) | {MIN_DEGREE_CONJECTURE: "open"}
 
 
 @dataclass(frozen=True)

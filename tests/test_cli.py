@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from factorcrit import cycle_graph, encode_graph6, wheel_graph
+from factorcrit import cycle_graph, encode_graph6, parse_graph6, wheel_graph
 from factorcrit.cli import default_jobs, main
 
 
@@ -128,6 +129,56 @@ def test_gen_counts(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 11
     assert "11 graphs" in err
+
+
+@pytest.mark.parametrize("n", [0, 10])
+def test_gen_out_of_range_leaves_out_file_alone(tmp_path: Path, capsys, n):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"C~\nCr\n")
+    code, _, err = run_cli(["gen", str(n), "--out", str(path)], capsys=capsys)
+    assert code == 2 and "error" in err
+    assert path.read_bytes() == b"C~\nCr\n"
+
+
+# sha256 of the stdout of `witness --all --json` for every edge in order,
+# concatenated, and of `predicates --json`; recorded before the witness
+# search tested vertex masks instead of building G - S.
+WITNESS_PREDICATE_GOLDEN = {
+    ("GhCKN{", 2): (  # wheel_graph(7)
+        "d5a14b114c876b9b03c092cb5584fc57679780ddb9832b9f4d46eef45d84e7b2",
+        "8271a26d9ca16fabd9bb76a98042ac961b3f54cbace062ada7430ca1ce5e1879",
+    ),
+    ("E~~w", 4): (
+        "39950e21c30cf29c750b24c207bd769c59f4ecbea32a064d155daae7050aa34d",
+        "b8854b04ee71962c44a7531d1e236bd8b2f4ba8b02d89a3f59e851e96e45ca8e",
+    ),
+    ("G@U^FC", 2): (  # labels A1, A2 and C2'
+        "2bd3988164e81f905d1fb98002bf2e7294ee12db5283d6f026f463a5bc59b82d",
+        "7ca75c809b3e7272401b017a11df8b9ad0a14a4717b556cbfdb60e00a5d83aa0",
+    ),
+    ("HhCGGE@", 1): (  # cycle_graph(9): family B preconditions fail
+        "f6c887d09d7be76c38e2ac00c708ed2db953cba622cd6d1b3168747d69211a17",
+        "d34074f5e78eed4ccf969c12e57cc9a1799d57a37b8a940a842aea6e78719619",
+    ),
+}
+
+
+def test_witness_and_predicates_json_golden(capsys):
+    assert encode_graph6(wheel_graph(7)) == "GhCKN{"
+    assert encode_graph6(cycle_graph(9)) == "HhCGGE@"
+    for (g6, k), (witness_hash, predicates_hash) in WITNESS_PREDICATE_GOLDEN.items():
+        digest = hashlib.sha256()
+        for u, v in parse_graph6(g6).edges():
+            code, out, _ = run_cli(
+                ["witness", "--all", "--json", "--k", str(k), "--edge", f"{u},{v}", g6],
+                capsys=capsys,
+            )
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == witness_hash, (g6, k)
+        code, out, _ = run_cli(["predicates", "--json", "--k", str(k), g6], capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == predicates_hash, (g6, k)
 
 
 def test_hunt_clean_and_selftest(capsys):

@@ -189,6 +189,12 @@ def test_certify_requires_minimality():
         certify_minimal_edges(complete_graph(8), 2)
 
 
+def test_certify_rejects_non_critical_as_not_minimal():
+    # C6 is not 2-factor-critical: deleting {0, 2} isolates vertex 1.
+    with pytest.raises(NotMinimallyCritical):
+        certify_minimal_edges(cycle_graph(6), 2)
+
+
 def test_predicates_on_embedded_a1():
     # The two triangles plus the designated edge form their own ambient graph
     # with k = 0 witnesses; minimum degree 2 >= n - 4 meets the hypothesis.

@@ -19,6 +19,7 @@ from factorcrit import (
     delete_vertices,
     downward_criticality_check,
     enumerate_perfect_matchings,
+    forced_edge,
     has_perfect_matching,
     is_k_factor_critical,
     is_minimally_kfc,
@@ -147,6 +148,28 @@ def test_witness_iff_edge_removal_destroys_criticality(catalog):
                     witness = next(iter_minimality_witnesses(g, k, e), None)
                     still = is_k_factor_critical(remove_edge(g, *e), k).verdict
                     assert (witness is None) == still, (g.edges(), k, e)
+
+
+def _reference_witnesses(g, k, e):
+    """Witness sets the slow way: build G - S and test e for forcedness."""
+    u, v = e
+    others = [w for w in range(g.n) if w not in e]
+    for subset in itertools.combinations(others, k):
+        residual, index_map = delete_vertices(g, subset)
+        if forced_edge(residual, (index_map[u], index_map[v])):
+            yield sum(1 << w for w in subset)
+
+
+def test_witness_masks_match_residual_reference(catalog):
+    cases = 0
+    for n in range(2, 8):
+        for g in catalog(n):
+            for k in _valid_ks(n):
+                for e in g.edges():
+                    expected = list(_reference_witnesses(g, k, e))
+                    assert list(iter_minimality_witnesses(g, k, e)) == expected, (g.edges(), k, e)
+                    cases += 1
+    assert cases == 36809
 
 
 def test_minimality_certificate():

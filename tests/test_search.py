@@ -402,6 +402,29 @@ def test_survey_counterexample_entries_reparse(catalog):
         assert check_conjecture(g, 4).passed
 
 
+def test_statement_table_covers_every_reported_id(catalog):
+    from factorcrit.verifiers import (
+        CONFIG_COMPLETENESS,
+        CONFIG_PREDICATES,
+        MIN_DEGREE_CONJECTURE,
+        STATEMENTS,
+    )
+
+    cases = [(encode_graph6(g), k) for n in range(4, 8) for g in catalog(n) for k in valid_k_values(n)]
+    # k = n - 8 and k = n - 10 reach the T4.1 and Conj1.3 instantiations.
+    cases += [(encode_graph6(cycle_graph(9)), 1), (encode_graph6(cycle_graph(11)), 1)]
+    reported = {CONFIG_COMPLETENESS, CONFIG_PREDICATES}
+    for line, k in cases:
+        for invert in (False, True):
+            record = search._survey_record(line, k, invert)
+            reported.update(verdict["theorem"] for verdict in record.get("verdicts", ()))
+            reported.update(record.get("failures", ()))
+    assert {"T4.1", "Conj1.3", "L2.5"} <= reported
+    assert reported <= set(STATEMENTS)
+    assert set(STATEMENTS.values()) == {"proven", "open"}
+    assert [t for t, status in STATEMENTS.items() if status == "open"] == [MIN_DEGREE_CONJECTURE]
+
+
 def test_hunt_examples():
     assert hunt_counterexamples(range(4, 7)) == []
     assert hunt_counterexamples([6], k_rule=2) == []  # k = n - 2 = 4
