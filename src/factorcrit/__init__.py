@@ -61,9 +61,7 @@ from .matching import (
     enumerate_perfect_matchings,
     forced_edge,
     has_perfect_matching,
-    max_deficiency,
     maximum_matching,
-    maximum_matching_bruteforce,
     tutte_violators,
 )
 from .criticality import (
@@ -73,11 +71,11 @@ from .criticality import (
     is_k_factor_critical,
     is_minimally_kfc,
     iter_minimality_witnesses,
-    kfc_via_tutte,
     minimality_certificate,
     minimality_witness,
     ps_reduction_check,
 )
+from .oracles import kfc_via_tutte, max_deficiency, maximum_matching_bruteforce
 from .configurations import (
     ConfigurationMatch,
     EdgeClassification,

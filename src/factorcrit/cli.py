@@ -1,5 +1,14 @@
 """Command-line front end with graph6 input and JSON reporting.
 
+The per-graph commands (pm, kfc, minimal, witness, classify, predicates,
+verify) share one loop, ``_per_graph``.  It reads every input graph first,
+from the positional argument, ``--file`` or stdin, through the same graph6
+line reader that catalog ingestion uses, so a bad line is reported as
+``FILE:LINE`` or ``stdin:LINE``.  It then calls the command's step on each
+graph; a step appends that graph's JSON results and text lines and returns
+whether the queried property held.  Nothing is printed until every graph
+has been processed, so an error exits without partial output.
+
 Exit codes: 0 when the queried property holds (or a sweep is clean), 1 when
 it fails or a counterexample surfaced, 2 on usage or parse errors, 3 when an
 expected-true check was violated.  Text output is human-oriented and not a
@@ -15,15 +24,15 @@ import sys
 from typing import Iterable
 
 from .errors import EdgeAbsent, FactorCritError, TheoremViolated
-from .graph import Graph, bits_list, parse_graph6
+from .graph import Graph, bits_list, encode_graph6, parse_graph6
 from .matching import maximum_matching, tutte_violators
 from .criticality import (
     is_k_factor_critical,
     is_minimally_kfc,
-    kfc_via_tutte,
     minimality_witness,
     iter_minimality_witnesses,
 )
+from .oracles import kfc_via_tutte
 from .configurations import (
     FAMILIES,
     ResidualInstance,
@@ -34,21 +43,20 @@ from .configurations import (
 )
 from .verifiers import check_n4_characterization, minimal_verdicts
 from .search import (
+    SCHEMA,
     _check_generate_order,
+    _parse_graph6_lines,
+    _read_graph6_file,
     enumerate_catalog,
     generate_nonisomorphic,
     hunt_counterexamples,
-    _read_graph6_file,
     survey,
 )
-from .graph import encode_graph6
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
-
-SCHEMA = 1
 
 JOBS_ENV = "FACTORCRIT_JOBS"
 
@@ -73,28 +81,19 @@ def _parse_edge(text: str) -> tuple[int, int]:
 
 def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
     """Resolve the single input source into (label, graph) pairs."""
-    sources = [args.graph6 is not None, args.file is not None]
-    if sum(sources) > 1:
+    if args.graph6 is not None and args.file is not None:
         raise FactorCritError("give a positional graph6 string or --file, not both")
     if args.graph6 is not None:
         return [("arg", parse_graph6(args.graph6))]
     if args.file is not None:
+        where, label = args.file, "line"
         entries, bad = _read_graph6_file(args.file, args.lenient)
-        for lineno, message in bad:
-            print(f"{args.file}:{lineno}: skipped: {message}", file=sys.stderr)
-        return [(f"line {lineno}", g) for lineno, _text, g in entries]
-    out = []
-    for lineno, line in enumerate(sys.stdin, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            out.append((f"stdin {lineno}", parse_graph6(text)))
-        except FactorCritError as exc:
-            if not args.lenient:
-                raise
-            print(f"stdin:{lineno}: skipped: {exc}", file=sys.stderr)
-    return out
+    else:
+        where = label = "stdin"
+        entries, bad = _parse_graph6_lines(sys.stdin, where, args.lenient)
+    for lineno, message in bad:
+        print(f"{where}:{lineno}: skipped: {message}", file=sys.stderr)
+    return [(f"{label} {lineno}", g) for lineno, _text, g in entries]
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str], ok: bool = True) -> int:
@@ -108,135 +107,106 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str], ok
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _cmd_pm(args: argparse.Namespace) -> int:
-    results = []
-    lines = []
-    all_ok = True
+def _per_graph(args: argparse.Namespace) -> int:
+    """Run the command's step on every input graph, then report them all.
+
+    A step appends its JSON results and text lines and returns whether the
+    queried property held; any failure exits with the command's fail code."""
+    results: list[dict] = []
+    lines: list[str] = []
+    ok = True
     for label, g in _input_graphs(args):
-        matching = maximum_matching(g)
-        results.append({"graph6": encode_graph6(g), "perfect_matching": matching.is_perfect,
-                        "matching": [list(e) for e in matching.edges]})
-        lines.append(f"{label}: perfect matching: {'yes' if matching.is_perfect else 'no'} "
-                     f"(maximum matching size {len(matching.edges)})")
-        if not matching.is_perfect:
-            all_ok = False
-            for cert in tutte_violators(g, "first-minimal"):
-                results[-1]["violator"] = cert.to_json()
-                lines.append(f"  deficiency witness X={bits_list(cert.x_set)} "
-                             f"odd components {cert.partition.odd_count}")
-    return _emit(args, {"command": "pm", "results": results}, lines, all_ok)
+        ok = args.step(args, label, g, results, lines) and ok
+    _emit(args, {"command": args.command, "results": results}, lines)
+    return EXIT_OK if ok else args.fail_code
 
 
-def _cmd_kfc(args: argparse.Namespace) -> int:
-    results = []
-    lines = []
-    all_ok = True
-    for label, g in _input_graphs(args):
-        report = (kfc_via_tutte if args.method == "tutte" else is_k_factor_critical)(g, args.k)
-        results.append({"graph6": encode_graph6(g), **report.to_json()})
-        state = "yes" if report.verdict else f"no, failing set {bits_list(report.failing_set)}"
-        lines.append(f"{label}: {args.k}-factor-critical: {state}")
-        all_ok = all_ok and report.verdict
-    return _emit(args, {"command": "kfc", "results": results}, lines, all_ok)
+def _pm(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+    matching = maximum_matching(g)
+    results.append({"graph6": encode_graph6(g), "perfect_matching": matching.is_perfect,
+                    "matching": [list(e) for e in matching.edges]})
+    lines.append(f"{label}: perfect matching: {'yes' if matching.is_perfect else 'no'} "
+                 f"(maximum matching size {len(matching.edges)})")
+    if not matching.is_perfect:
+        for cert in tutte_violators(g, "first-minimal"):
+            results[-1]["violator"] = cert.to_json()
+            lines.append(f"  deficiency witness X={bits_list(cert.x_set)} "
+                         f"odd components {cert.partition.odd_count}")
+    return matching.is_perfect
 
 
-def _cmd_minimal(args: argparse.Namespace) -> int:
-    results = []
-    lines = []
-    all_ok = True
-    for label, g in _input_graphs(args):
-        minimal = is_minimally_kfc(g, args.k)
-        results.append({"graph6": encode_graph6(g), "k": args.k, "minimal": minimal})
-        lines.append(f"{label}: minimally {args.k}-factor-critical: {'yes' if minimal else 'no'}")
-        all_ok = all_ok and minimal
-    return _emit(args, {"command": "minimal", "results": results}, lines, all_ok)
+def _kfc(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+    report = (kfc_via_tutte if args.method == "tutte" else is_k_factor_critical)(g, args.k)
+    results.append({"graph6": encode_graph6(g), **report.to_json()})
+    state = "yes" if report.verdict else f"no, failing set {bits_list(report.failing_set)}"
+    lines.append(f"{label}: {args.k}-factor-critical: {state}")
+    return report.verdict
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
-    results = []
-    lines = []
-    all_ok = True
-    for label, g in _input_graphs(args):
-        if args.all:
-            witnesses = list(iter_minimality_witnesses(g, args.k, args.edge))
-            found = bool(witnesses)
-            results.append({"graph6": encode_graph6(g), "edge": list(args.edge),
-                            "witnesses": [bits_list(w) for w in witnesses]})
-            lines.append(f"{label}: {len(witnesses)} witness sets for edge {args.edge}")
+def _minimal(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+    minimal = is_minimally_kfc(g, args.k)
+    results.append({"graph6": encode_graph6(g), "k": args.k, "minimal": minimal})
+    lines.append(f"{label}: minimally {args.k}-factor-critical: {'yes' if minimal else 'no'}")
+    return minimal
+
+
+def _witness(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+    item = {"graph6": encode_graph6(g), "edge": list(args.edge)}
+    if args.all:
+        witnesses = list(iter_minimality_witnesses(g, args.k, args.edge))
+        results.append({**item, "witnesses": [bits_list(w) for w in witnesses]})
+        lines.append(f"{label}: {len(witnesses)} witness sets for edge {args.edge}")
+        return bool(witnesses)
+    witness = minimality_witness(g, args.k, args.edge)
+    results.append({**item, "witness": None if witness is None else bits_list(witness)})
+    lines.append(f"{label}: witness for edge {args.edge}: "
+                 + ("none (edge removable)" if witness is None else str(bits_list(witness))))
+    return witness is not None
+
+
+def _classify(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+    match = classify_residual(ResidualInstance(g, *args.edge, args.family))
+    results.append({"graph6": encode_graph6(g), **match.to_json()})
+    lines.append(f"{label}: configuration {match.label}"
+                 + (" (ambiguous)" if match.ambiguity_flag else ""))
+    return match.label != UNCLASSIFIED
+
+
+def _predicates(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+    certs = certify_minimal_edges(g, args.k)
+    ok = True
+    for e in [tuple(sorted(args.edge))] if args.edge else sorted(certs):
+        if e not in certs:
+            raise EdgeAbsent(f"edge {e} not in graph")
+        entry = certs[e]
+        item = {"graph6": encode_graph6(g), "edge": list(e), **entry.to_json()}
+        if entry.match is not None:
+            report = config_predicates(g, e, entry.witness, entry.match)
+            item["predicates"] = report.to_json()
+            status = "vacuous" if not report.hypothesis_met else (
+                "pass" if report.all_passed else "FAIL")
+            lines.append(f"{label}: edge {e}: {entry.match.label} predicates {status}")
+            ok = ok and (not report.hypothesis_met or report.all_passed)
         else:
-            witness = minimality_witness(g, args.k, args.edge)
-            found = witness is not None
-            results.append({"graph6": encode_graph6(g), "edge": list(args.edge),
-                            "witness": None if witness is None else bits_list(witness)})
-            lines.append(
-                f"{label}: witness for edge {args.edge}: "
-                + ("none (edge removable)" if witness is None else str(bits_list(witness)))
-            )
-        all_ok = all_ok and found
-    return _emit(args, {"command": "witness", "results": results}, lines, all_ok)
+            lines.append(f"{label}: edge {e}: no classification ({entry.note})")
+        results.append(item)
+    return ok
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    results = []
-    lines = []
-    all_ok = True
-    for label, g in _input_graphs(args):
-        u, v = args.edge
-        inst = ResidualInstance(g, u, v, args.family)
-        match = classify_residual(inst)
-        results.append({"graph6": encode_graph6(g), **match.to_json()})
-        lines.append(f"{label}: configuration {match.label}"
-                     + (" (ambiguous)" if match.ambiguity_flag else ""))
-        all_ok = all_ok and match.label != UNCLASSIFIED
-    return _emit(args, {"command": "classify", "results": results}, lines, all_ok)
-
-
-def _cmd_predicates(args: argparse.Namespace) -> int:
-    results = []
-    lines = []
-    all_ok = True
-    for label, g in _input_graphs(args):
-        certs = certify_minimal_edges(g, args.k)
-        edges = [tuple(sorted(args.edge))] if args.edge else sorted(certs)
-        for e in edges:
-            if e not in certs:
-                raise EdgeAbsent(f"edge {e} not in graph")
-            entry = certs[e]
-            item = {"graph6": encode_graph6(g), "edge": list(e), **entry.to_json()}
-            if entry.match is not None:
-                report = config_predicates(g, e, entry.witness, entry.match)
-                item["predicates"] = report.to_json()
-                status = "vacuous" if not report.hypothesis_met else (
-                    "pass" if report.all_passed else "FAIL")
-                lines.append(f"{label}: edge {e}: {entry.match.label} predicates {status}")
-                all_ok = all_ok and (not report.hypothesis_met or report.all_passed)
-            else:
-                lines.append(f"{label}: edge {e}: no classification ({entry.note})")
-            results.append(item)
-    return _emit(args, {"command": "predicates", "results": results}, lines, all_ok)
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    results = []
-    lines = []
-    violated = False
-    for label, g in _input_graphs(args):
-        verdicts = []
-        if g.n >= 6:
-            verdicts.append(check_n4_characterization(g))
-        if args.k is not None and is_minimally_kfc(g, args.k):
-            verdicts.extend(minimal_verdicts(g, args.k, verified=True))
-        elif args.k is not None:
-            lines.append(f"{label}: not minimally {args.k}-factor-critical; "
-                         "degree statements skipped")
-        for verdict in verdicts:
-            results.append(verdict.to_json(graph6=encode_graph6(g)))
-            state = "n/a" if not verdict.applicable else ("pass" if verdict.passed else "FAIL")
-            lines.append(f"{label}: {verdict.theorem}: {state}")
-            if verdict.failed:
-                violated = True
-    _emit(args, {"command": "verify", "results": results}, lines)
-    return EXIT_VIOLATION if violated else EXIT_OK
+def _verify(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+    verdicts = []
+    if g.n >= 6:
+        verdicts.append(check_n4_characterization(g))
+    if args.k is not None and is_minimally_kfc(g, args.k):
+        verdicts.extend(minimal_verdicts(g, args.k, verified=True))
+    elif args.k is not None:
+        lines.append(f"{label}: not minimally {args.k}-factor-critical; "
+                     "degree statements skipped")
+    for verdict in verdicts:
+        results.append(verdict.to_json(graph6=encode_graph6(g)))
+        state = "n/a" if not verdict.applicable else ("pass" if verdict.passed else "FAIL")
+        lines.append(f"{label}: {verdict.theorem}: {state}")
+    return not any(verdict.failed for verdict in verdicts)
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
@@ -300,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p: argparse.ArgumentParser, needs_k: bool = False) -> None:
+    def add_input(p: argparse.ArgumentParser, step, needs_k: bool = False) -> None:
         p.add_argument("graph6", nargs="?", default=None,
                        help="graph6 string (omit to read --file or stdin)")
         p.add_argument("--file", help="read graph6 lines from a file")
@@ -309,42 +279,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if needs_k:
             p.add_argument("--k", type=int, required=True, help="criticality parameter")
+        p.set_defaults(func=_per_graph, step=step, fail_code=EXIT_FAIL)
 
     p = sub.add_parser("pm", help="perfect-matching decision")
-    add_input(p)
-    p.set_defaults(func=_cmd_pm)
+    add_input(p, _pm)
 
     p = sub.add_parser("kfc", help="k-factor-criticality decision")
-    add_input(p, needs_k=True)
+    add_input(p, _kfc, needs_k=True)
     p.add_argument("--method", choices=["definitional", "tutte"], default="definitional")
-    p.set_defaults(func=_cmd_kfc)
 
     p = sub.add_parser("minimal", help="minimal k-factor-criticality decision")
-    add_input(p, needs_k=True)
-    p.set_defaults(func=_cmd_minimal)
+    add_input(p, _minimal, needs_k=True)
 
     p = sub.add_parser("witness", help="witness set making an edge forced")
-    add_input(p, needs_k=True)
+    add_input(p, _witness, needs_k=True)
     p.add_argument("--edge", type=_parse_edge, required=True, help="edge as 'u,v'")
     p.add_argument("--all", action="store_true", help="list every witness set")
-    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("classify", help="classify a residual graph instance")
-    add_input(p)
+    add_input(p, _classify)
     p.add_argument("--edge", type=_parse_edge, required=True,
                    help="designated non-adjacent pair as 'u,v'")
     p.add_argument("--family", choices=list(FAMILIES), required=True)
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("predicates", help="witness, classification, and predicate checks per edge")
-    add_input(p, needs_k=True)
+    add_input(p, _predicates, needs_k=True)
     p.add_argument("--edge", type=_parse_edge, help="restrict to one edge 'u,v'")
-    p.set_defaults(func=_cmd_predicates)
 
     p = sub.add_parser("verify", help="run the applicable statement checkers")
-    add_input(p)
+    add_input(p, _verify)
     p.add_argument("--k", type=int, default=None, help="criticality parameter")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(fail_code=EXIT_VIOLATION)
 
     p = sub.add_parser("survey", help="criticality/minimality sweep over a catalog")
     p.add_argument("--gen", type=int, default=None, metavar="N",

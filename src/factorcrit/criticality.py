@@ -2,9 +2,9 @@
 
 A graph of order n is k-factor-critical when deleting any k vertices leaves a
 perfect matching, and minimally so when additionally no single edge can be
-dropped without destroying the property.  The definitional sweep and the
-odd-component counting characterization are implemented independently and the
-suite asserts they agree.
+dropped without destroying the property.  The definitional sweep here and the
+odd-component counting characterization in ``oracles`` are implemented
+independently and the suite asserts they agree.
 
 A witness set for an edge e = uv is a k-set S avoiding u and v such that e is
 forced in G - S: G - S has a perfect matching and every one of them uses e.
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    _odd_component_count,
     add_edge,
     bits_list,
     connectivity,
@@ -41,7 +40,6 @@ from .graph import (
 from .matching import PerfectMatcher
 
 METHOD_DEFINITIONAL = "definitional"
-METHOD_TUTTE = "tutte-type"
 
 
 @dataclass(frozen=True)
@@ -110,21 +108,6 @@ def is_k_factor_critical(
         if not matcher.pm_exists(full & ~s_mask):
             return CriticalityReport(k, False, s_mask, METHOD_DEFINITIONAL)
     return CriticalityReport(k, True, None, METHOD_DEFINITIONAL)
-
-
-def kfc_via_tutte(g: Graph, k: int) -> CriticalityReport:
-    """Odd-component characterization: k-factor-critical iff every B with
-    |B| >= k leaves at most |B| - k odd components.  Exponential in n; meant
-    for the small orders where it cross-checks the definitional test."""
-    _validate_k(g, k)
-    adj = g.adj
-    full = g.vertex_mask
-    for size in range(k, g.n + 1):
-        for subset in combinations(range(g.n), size):
-            b_mask = mask_from(subset)
-            if _odd_component_count(adj, full & ~b_mask) > size - k:
-                return CriticalityReport(k, False, b_mask, METHOD_TUTTE)
-    return CriticalityReport(k, True, None, METHOD_TUTTE)
 
 
 def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:

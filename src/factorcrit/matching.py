@@ -1,10 +1,10 @@
 """Maximum matchings, perfect-matching decisions, and deficiency certificates.
 
 The maximum-matching routine is an augmenting-path search with blossom
-contraction; a brute-force branch-and-bound oracle ships alongside it and the
-test suite asserts agreement on every small graph.  Perfect-matching decisions
-go through a memoized recursion over vertex subsets so that sweeps which probe
-many induced subgraphs of the same graph share work.
+contraction; the test suite checks it against the brute-force oracle in
+``oracles`` on every small graph.  Perfect-matching decisions go through a
+memoized recursion over vertex subsets so that sweeps which probe many induced
+subgraphs of the same graph share work.
 """
 
 from __future__ import annotations
@@ -132,11 +132,9 @@ class PerfectMatcher:
         return self.pm_exists(self.full)
 
 
-def has_perfect_matching(g: Graph, matcher: PerfectMatcher | None = None) -> bool:
+def has_perfect_matching(g: Graph) -> bool:
     """True iff ``g`` has a perfect matching (false for odd order)."""
-    if matcher is None:
-        matcher = PerfectMatcher(g)
-    return matcher.has_perfect_matching()
+    return PerfectMatcher(g).has_perfect_matching()
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -223,46 +221,6 @@ def _augment_from(root: int, adj: Sequence[list[int]], mate: list[int], n: int) 
         mate[pv] = v
         v = nxt
     return True
-
-
-def maximum_matching_bruteforce(g: Graph) -> Matching:
-    """Exhaustive maximum matching; the independent oracle for the blossom code."""
-    memo: dict[int, int] = {}
-    adj = g.adj
-
-    def best(mask: int) -> int:
-        if mask == 0:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v_bit = mask & -mask
-        rest = mask ^ v_bit
-        score = best(rest)
-        nbrs = adj[v_bit.bit_length() - 1] & rest
-        while nbrs:
-            w_bit = nbrs & -nbrs
-            nbrs ^= w_bit
-            score = max(score, 1 + best(rest ^ w_bit))
-        memo[mask] = score
-        return score
-
-    edges = []
-    mask = g.vertex_mask
-    while mask:
-        v_bit = mask & -mask
-        rest = mask ^ v_bit
-        target = best(mask)
-        if best(rest) == target:
-            mask = rest
-            continue
-        v = v_bit.bit_length() - 1
-        for w in iter_bits(adj[v] & rest):
-            if 1 + best(rest ^ (1 << w)) == target:
-                edges.append((v, w))
-                mask = rest ^ (1 << w)
-                break
-    return Matching.from_pairs(g, edges)
 
 
 @dataclass(frozen=True)
@@ -353,23 +311,3 @@ def tutte_violators(g: Graph, mode: str = "first-minimal") -> list[TutteCertific
             return found
     return found
 
-
-def max_deficiency(g: Graph) -> tuple[int, int]:
-    """Brute-force maximum of (odd components of G-X) - |X| over all X.
-
-    Returns the maximum and the lexicographically first attaining set.  This
-    is the independent deficiency oracle: maximum matchings have size
-    (n - deficiency) / 2.
-    """
-    adj = g.adj
-    full = g.vertex_mask
-    best = -1
-    best_x = 0
-    for size in range(g.n + 1):
-        for xs in combinations(range(g.n), size):
-            x_mask = mask_from(xs)
-            value = _odd_component_count(adj, full & ~x_mask) - size
-            if value > best:
-                best = value
-                best_x = x_mask
-    return best, best_x

@@ -54,6 +54,7 @@ from .errors import (
     MalformedEncoding,
     OrderTooLargeForGenerate,
     ParityMismatch,
+    PreconditionUnmet,
     ResumeMismatch,
     TheoremViolated,
 )
@@ -81,6 +82,9 @@ GENERATE_MAX_ORDER = 9
 
 DEDUP_AS_IS = "as-is"
 DEDUP_CANONICAL = "canonical"
+
+# Version of the JSON payloads: the survey report and every CLI --json output.
+SCHEMA = 1
 
 # A graph of the previous generation level as its rows, with the non-identity
 # generators of its automorphism group as permutation tuples.
@@ -359,9 +363,17 @@ def _read_graph6_file(
             raw = handle.readlines()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    return _parse_graph6_lines(raw, path, lenient)
+
+
+def _parse_graph6_lines(
+    lines: Iterable[str], where: str, lenient: bool
+) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str]]]:
+    """Decode graph6 lines, skipping blank ones; ``where`` names the source
+    (a path, or stdin) in the ``where:lineno:`` prefix of a fatal error."""
     good: list[tuple[int, str, Graph]] = []
     bad: list[tuple[int, str]] = []
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
@@ -369,7 +381,7 @@ def _read_graph6_file(
             g = parse_graph6(text)
         except FactorCritError as exc:
             if not lenient:
-                raise MalformedEncoding(f"{path}:{lineno}: {exc}") from exc
+                raise MalformedEncoding(f"{where}:{lineno}: {exc}") from exc
             bad.append((lineno, str(exc)))
             continue
         if text.startswith(">>graph6<<"):
@@ -390,6 +402,10 @@ def enumerate_catalog(
     offending lines are skipped, otherwise they are fatal with their line
     number.  ``dedup='canonical'`` drops isomorphic duplicates on ingest.
     """
+    if dedup not in (DEDUP_AS_IS, DEDUP_CANONICAL):
+        raise PreconditionUnmet(
+            f"dedup must be {DEDUP_AS_IS!r} or {DEDUP_CANONICAL!r}, not {dedup!r}"
+        )
     if path is None:
         lines = tuple(encode_graph6(g) for g in generate_nonisomorphic(n))
         return Catalog(n, "generate", DEDUP_CANONICAL, lines)
@@ -436,7 +452,7 @@ class SurveyReport:
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": SCHEMA,
             "n": self.n,
             "k": self.k,
             "source": self.source,
@@ -529,7 +545,8 @@ def survey(
     Deterministic: records are aggregated in catalog order regardless of
     ``jobs``.  ``jsonl_path`` streams one JSON line per graph so long sweeps
     can resume by passing the line count as ``skip`` (the report then covers
-    the remainder only).  A resumed file must hold exactly ``skip`` complete
+    the remainder only); ``skip`` outside 0..len(catalog) raises
+    ``PreconditionUnmet`` before any file is opened.  A resumed file must hold exactly ``skip`` complete
     records, for the first ``skip`` catalog graphs in order, or
     ``ResumeMismatch`` is raised; a torn last line left by a crash is cut
     off first.  ``invert_conjecture`` flips the minimum-degree verdict and
@@ -540,6 +557,8 @@ def survey(
         raise KOutOfRange(f"k={k} outside 1..{n - 2}")
     if (n - k) % 2:
         raise ParityMismatch(f"k={k} and order {n} have different parity")
+    if not 0 <= skip <= len(catalog):
+        raise PreconditionUnmet(f"skip={skip} outside 0..{len(catalog)}")
     report = SurveyReport(n=n, k=k, source=catalog.source)
     lines = catalog.graph6_lines[skip:]
     if jsonl_path is not None and skip:
@@ -567,7 +586,7 @@ def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
         raise ResumeMismatch(f"cannot resume {path}: {exc}") from exc
     complete = data[:data.rfind(b"\n") + 1]
     records = complete.splitlines()
-    if len(records) != skip or len(lines) < skip:
+    if len(records) != skip:
         raise ResumeMismatch(
             f"{path} holds {len(records)} complete records; resuming after {skip} "
             f"of {len(lines)} catalog graphs needs exactly {skip}"

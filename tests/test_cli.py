@@ -124,6 +124,16 @@ def test_survey_resume_mismatch_exits_2(tmp_path: Path, capsys):
     assert len(path.read_text().splitlines()) == 34
 
 
+@pytest.mark.parametrize("skip", ["-3", "35"])
+def test_survey_resume_lines_out_of_range_exits_2(tmp_path: Path, capsys, skip):
+    path = tmp_path / "records.jsonl"
+    code, out, err = run_cli(["survey", "--gen", "5", "--k", "1", "--json", "--jobs", "1",
+                              "--jsonl", str(path), "--resume-lines", skip], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert f"skip={skip} outside 0..34" in err
+    assert not path.exists()
+
+
 def test_gen_counts(capsys):
     code, out, err = run_cli(["gen", "4"], capsys=capsys)
     assert code == 0
@@ -197,6 +207,28 @@ def test_stdin_input(capsys):
     assert "stdin 1" in out and "stdin 2" in out
 
 
+STDIN_LINES = "EhEG\ngarbage!!\n\nGhCKN{\nE~~w\n"
+
+
+@pytest.mark.parametrize("command", [["pm"], ["kfc", "--k", "2"], ["verify", "--k", "2"]],
+                         ids=["pm", "kfc", "verify"])
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+def test_stdin_and_file_read_lines_alike(tmp_path: Path, capsys, command, lenient):
+    path = tmp_path / "mixed.g6"
+    path.write_text(STDIN_LINES, encoding="ascii")
+    for json_flag in ([], ["--json"]):
+        argv = command + lenient + json_flag
+        via_file = run_cli(argv + ["--file", str(path)], capsys=capsys)
+        via_stdin = run_cli(argv, stdin=STDIN_LINES, capsys=capsys)
+        code, out, err = via_file
+        assert via_stdin == (code, out.replace("line ", "stdin "), err.replace(str(path), "stdin"))
+    if lenient:
+        assert err == f"{path}:2: skipped: byte out of graph6 range in 'garbage!!'\n"
+    else:
+        assert code == 2
+        assert via_stdin[2] == "error: stdin:2: byte out of graph6 range in 'garbage!!'\n"
+
+
 def test_lenient_file_parsing(tmp_path: Path, capsys):
     path = tmp_path / "bad.g6"
     path.write_text("A_\ngarbage!!\n", encoding="ascii")
@@ -229,3 +261,128 @@ def test_jobs_env_override(monkeypatch):
     assert default_jobs() >= 1
     monkeypatch.delenv("FACTORCRIT_JOBS")
     assert default_jobs() >= 1
+
+
+# (argv, stdin, exit code, sha256 of stdout) for the per-graph commands,
+# recorded before the commands shared one loop.  Exit 2 prints nothing on
+# stdout: a failing graph aborts the run before any result is emitted.
+CLI_GOLDEN = [
+    ("pm A_", None, 0,
+     "27c319c0fd74618c443bc0aa0a454064e85eea49189dd461383f7ffe8524e46d"),
+    ("pm --json A_", None, 0,
+     "63fac1b654ca2353fa67c1229e4ada58810976549a7ef3656fa7628c4b2ff54b"),
+    ("pm Bw", None, 1,
+     "849106bb52fd10a01afcee04d4c6fbf0bdcd4a5bfd114a6256f74aeb581ab9fc"),
+    ("pm --json Bw", None, 1,
+     "81d378b72c1c47c3d7883f3d24d6bce6303dcf1d5a201a66f868b1c936892d0e"),
+    ("pm garbage!!", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pm", "A_\nBw\n\nEhEG\n", 1,
+     "873145536278f618535a426c7bf1a5b3e2c1ffaf4457072fe5b25538fdb26ee0"),
+    ("pm --json", "A_\nBw\n\nEhEG\n", 1,
+     "71968951bc5da82d52f61e4a2f7945e128456c9c1735753903612ef57705d5f1"),
+    ("kfc --k 2 GhCKN{", None, 0,
+     "77a94afcef1303677addad589bcc4630c5f542689874327e8846e51f8b5d897b"),
+    ("kfc --k 2 --json GhCKN{", None, 0,
+     "95ae9c3b71bd768aaf9c93a073f86d94c7509c7630cd899e3762acf27e7155c5"),
+    ("kfc --k 2 EhEG", None, 1,
+     "b2abc6aeca94fc6bf1aedc573902ba2bb74a6652f11a97dd33a01f6ae1f0fd68"),
+    ("kfc --k 2 --json EhEG", None, 1,
+     "094975bf0f3370fc76ae002f06467ad12614efbd9b07deaf1fa9867a37d006e8"),
+    ("kfc --k 1 EhEG", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("kfc --k 2 --method tutte GhCKN{", None, 0,
+     "77a94afcef1303677addad589bcc4630c5f542689874327e8846e51f8b5d897b"),
+    ("kfc --k 2 --method tutte --json GhCKN{", None, 0,
+     "1846efa7d0b0de2b78268651cc923cce268ff8228dbb1364587975003c25c447"),
+    ("kfc --k 2 --method tutte EhEG", None, 1,
+     "b2abc6aeca94fc6bf1aedc573902ba2bb74a6652f11a97dd33a01f6ae1f0fd68"),
+    ("kfc --k 2 --method tutte --json EhEG", None, 1,
+     "4b89154142a691802d13555e09a028ef7368314ce674e76fd71c965ff0720181"),
+    ("kfc --k 1 --method tutte EhEG", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("kfc --k 2 --json", "GhCKN{\nEhEG\n", 1,
+     "5a0da9fcb7c7b04de6653983af2beecf3bf034dfe9f4038124bfd23854e49063"),
+    ("minimal --k 4 E~~w", None, 0,
+     "d2fcc39f35cac0164add4a5f08872ed1be5955d3122ebf9290afc5047193f5aa"),
+    ("minimal --k 4 --json E~~w", None, 0,
+     "d01d3d025a6bb92884231e6bc170b2ee0aef9a5c8aa8770e6cdb5e34790806db"),
+    ("minimal --k 2 EhEG", None, 1,
+     "b0327c69e2bcca2d43549dcb8da04d05d0c64649175149b74944212c5905802b"),
+    ("minimal --k 2 --json EhEG", None, 1,
+     "08cfaa718e81340d3a4c4dd694ec543a836ef52edd81ba9e66bb563fdfc22f5d"),
+    ("minimal --k 3 E~~w", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("witness --k 4 --edge 0,1 E~~w", None, 0,
+     "e67f48e9c060edcd8904cdaa47d7664c74d86e2fe85abb1ac13de61fe60d8de8"),
+    ("witness --k 4 --edge 0,1 --json E~~w", None, 0,
+     "2d1d9eef9048955f1d30a860b3114e6a329339ef095f91a5f0136ec116d754dd"),
+    ("witness --k 2 --edge 0,1 --all EhEG", None, 0,
+     "4f7bfe51d443d90aaf37cc92099c99603fa7fa70f7dd620587acb72579403589"),
+    ("witness --k 2 --edge 0,1 --all --json EhEG", None, 0,
+     "a41cf300e72c1b7e4d76113a9fa7fa6b9e234af480f2fc958afcc430e23ac722"),
+    ("witness --k 2 --edge 0,1 E~~w", None, 1,
+     "639258eeb1648fd9b5b9f4ceded7d50ae673e2a54c7ec0d62cab66efa4a002fe"),
+    ("witness --k 2 --edge 0,1 --json E~~w", None, 1,
+     "02f5b8bde83671a006d1020537ea40696cd1b4aa4a8eb3d6505e547a8ce2c0a3"),
+    ("witness --k 2 --edge 0,1 --all E~~w", None, 1,
+     "4428a541a7519df8474e177bd9443f3e52c1da94f3e501e9d75ed5f77b7df6b7"),
+    ("witness --k 2 --edge 0,3 EhEG", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("classify --family A --edge 0,3 EwCW", None, 0,
+     "a1607782c96760fba9fde4ad7ad664105b17677aeab9e1c99fe4b1c1a19f7d96"),
+    ("classify --family A --edge 0,3 --json EwCW", None, 0,
+     "1495674541e9eddf5cc4c88dd52dfa1d6b8b38e9dedb28be1f30786a79710c2e"),
+    ("classify --family C --edge 0,3 --json EwCW", None, 0,
+     "23eb771c4436a9b2a6c04b314b031f5dd76e41b59a44819519e15edc6a844e52"),
+    ("classify --family B --edge 0,1 G??ZLo", None, 0,
+     "efcca65f9fa764d33e53e36dc8f1ab48be301290d51b33490f6abef2845258eb"),  # ambiguous B6
+    ("classify --family B --edge 0,1 --json G??ZLo", None, 0,
+     "b0735bb2ffe4e515b8177e2fb204b703c1f8ff817b5bb87ed389b15316267536"),
+    ("classify --family B --edge 0,3 EwCW", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify --k 2 GhCKN{", None, 0,
+     "7f9ef83ff2e1b55c8f798df65f87e87cfdf2a34baa18024ffe738090ee5db1ed"),
+    ("verify --k 2 --json GhCKN{", None, 0,
+     "dbd2eb91ade1880714f48ce4119e3c0679af2ae6fb54d4591d24a45824aec166"),
+    ("verify --k 2 EhEG", None, 0,
+     "318aea58e7d10f6f672a7a758d855b6cc7a06d8187734b28c11aff08bbf71b43"),
+    ("verify --k 2 --json EhEG", None, 0,
+     "82d77b600e02b5a81a4c4b630cc1877a682edd77b2d3d63d35ee33714026e98c"),
+    ("verify GhCKN{", None, 0,
+     "1485e0b6fa471c9ddcba4b87f593b57cf202c784707cf25f284893c958578ba8"),
+    ("verify A_", None, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify --k 1 EhEG", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify --k 2 --json", "GhCKN{\nEhEG\n", 0,
+     "5d4dbda467f7c77bb9c709ceb363ab77f93b4a14bcfcf4ac88944bea76ba9c12"),
+    ("predicates --k 2 --edge 0,1 GhCKN{", None, 0,
+     "1a9a2bb7fe8a55709622bdcf8861a6cec564f2fa904c9bb16caefdfb0c1ae9c6"),
+    ("predicates --k 2 EhEG", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, digest", CLI_GOLDEN, ids=[c[0] for c in CLI_GOLDEN])
+def test_per_graph_commands_golden(capsys, argv, stdin, code, digest):
+    got_code, out, _ = run_cli(argv.split(), stdin=stdin, capsys=capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# A planted failing L3.1 verdict reaches verify's exit code 3.
+VERIFY_VIOLATION_GOLDEN = {
+    "verify --k 2 GhCKN{": "7de9407b2dcba9ae30cb4246c326b92d69fb172530544a0ab4c5f3d0ad9a9343",
+    "verify --k 2 --json GhCKN{": "5a23c8a7e74739c1f7e00c1cb630896a752ec8d2456bc67af2fd76926f343270",
+}
+
+
+def test_verify_failed_verdict_exits_3_golden(monkeypatch, capsys):
+    from factorcrit import cli
+    from factorcrit.verifiers import TheoremVerdict
+
+    monkeypatch.setattr(cli, "check_n4_characterization",
+                        lambda g: TheoremVerdict("L3.1", True, False, {"planted": True}))
+    for argv, digest in VERIFY_VIOLATION_GOLDEN.items():
+        code, out, _ = run_cli(argv.split(), capsys=capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (3, digest), argv

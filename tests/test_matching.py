@@ -197,3 +197,15 @@ def test_matching_type_validation():
         Matching.from_pairs(g, [(0, 2)])
     with pytest.raises(PreconditionUnmet):
         Matching.from_pairs(g, [(0, 1), (1, 2)])
+
+
+def test_oracles_share_no_search_code():
+    import factorcrit
+    from factorcrit import criticality, matching, oracles
+
+    checked = {matching.PerfectMatcher, matching.maximum_matching, matching.has_perfect_matching,
+               matching.tutte_violators, criticality.is_k_factor_critical}
+    assert not any(value in checked for value in vars(oracles).values() if callable(value))
+    for name in ("maximum_matching_bruteforce", "max_deficiency", "kfc_via_tutte"):
+        assert getattr(factorcrit, name) is getattr(oracles, name)
+        assert not hasattr(matching, name) and not hasattr(criticality, name)

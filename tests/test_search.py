@@ -20,6 +20,7 @@ from factorcrit import (
     MalformedEncoding,
     OrderTooLargeForGenerate,
     ParityMismatch,
+    PreconditionUnmet,
     ResumeMismatch,
     canonical_form,
     canonical_graph6,
@@ -267,6 +268,14 @@ def test_catalog_ingest_canonical_dedup(tmp_path: Path):
     assert len(enumerate_catalog(5, path=str(path), dedup="canonical")) == 1
 
 
+def test_catalog_rejects_unknown_dedup(tmp_path: Path):
+    path = tmp_path / "one.g6"
+    path.write_text("A_\n", encoding="ascii")
+    for source in (None, str(path)):
+        with pytest.raises(PreconditionUnmet, match="'bogus'"):
+            enumerate_catalog(2, path=source, dedup="bogus")
+
+
 def test_valid_k_values():
     assert valid_k_values(6) == [2, 4]
     assert valid_k_values(7) == [1, 3, 5]
@@ -299,6 +308,17 @@ def test_survey_validation(catalog):
         survey(cat, 1)
     with pytest.raises(KOutOfRange):
         survey(cat, 6)
+
+
+@pytest.mark.parametrize("skip", [-3, -1, 35, 99])
+def test_survey_rejects_skip_out_of_range(tmp_path: Path, catalog, skip):
+    cat = Catalog.from_graphs(5, catalog(5))
+    path = tmp_path / "records.jsonl"
+    path.write_text("kept\n")
+    with pytest.raises(PreconditionUnmet, match=f"skip={skip} outside 0..34"):
+        survey(cat, 1, jsonl_path=str(path), skip=skip)
+    assert path.read_text() == "kept\n"
+    assert survey(cat, 1, skip=34).total == 0
 
 
 def test_survey_deterministic_and_parallel_identical(catalog):
