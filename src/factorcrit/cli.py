@@ -202,6 +202,10 @@ def _verify(args: argparse.Namespace, label: str, g: Graph, results: list, lines
     elif args.k is not None:
         lines.append(f"{label}: not minimally {args.k}-factor-critical; "
                      "degree statements skipped")
+    if not verdicts:
+        reason = "no --k" if args.k is None else f"not minimally {args.k}-factor-critical"
+        print(f"note: {encode_graph6(g)}: no statement checker applies "
+              f"(order {g.n} is below 6, {reason})", file=sys.stderr)
     for verdict in verdicts:
         results.append(verdict.to_json(graph6=encode_graph6(g)))
         state = "n/a" if not verdict.applicable else ("pass" if verdict.passed else "FAIL")

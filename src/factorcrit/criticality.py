@@ -8,10 +8,17 @@ independently and the suite asserts they agree.
 
 A witness set for an edge e = uv is a k-set S avoiding u and v such that e is
 forced in G - S: G - S has a perfect matching and every one of them uses e.
-That holds exactly when G - S has a perfect matching and (G - e) - S has
-none, so the witness search asks one memoized matcher on G and one on G - e
-about the surviving vertex mask V - S; no subgraph is built per k-set, and
-G's matcher is shared across the edges of a certificate.
+That holds exactly when G - S has a perfect matching and, for no neighbour
+w != v of u outside S, does G - S - u - w have one.  So the witness search
+asks one memoized matcher on G about vertex masks only; no subgraph is
+built, neither per k-set nor for G - e, and the matcher is shared across
+the edges of a certificate.
+
+The same search decides minimality.  Let G be k-factor-critical.  A k-set S
+containing u or v leaves (G - e) - S = G - S, which has a perfect matching,
+so G - e is k-factor-critical exactly when no k-set avoiding u and v is a
+witness for e.  ``kfc_and_minimal`` therefore tests only the C(n-2, k)
+k-sets that avoid e, against the matcher its k-factor-critical test filled.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from .graph import (
     add_edge,
     bits_list,
     connectivity,
+    iter_bits,
     mask_from,
-    remove_edge,
 )
 from .matching import PerfectMatcher
 
@@ -118,17 +125,21 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     least k+1.  So a graph with a vertex of degree at most k is not
     k-factor-critical, and G - uv is not when u or v has degree k+1, which
     makes uv essential without a test.  A valid k has k < n and the parity
-    of n, so n - k >= 2 always holds here.
+    of n, so n - k >= 2 always holds here.  Every other edge is essential
+    exactly when it has a witness set (see the module docstring).
     """
     _validate_k(g, k)
     degrees = g.degrees()
-    if min(degrees) <= k or not is_k_factor_critical(g, k).verdict:
+    if min(degrees) <= k:
+        return False, False
+    matcher = PerfectMatcher(g)
+    if not is_k_factor_critical(g, k, matcher).verdict:
         return False, False
     tight = k + 1
     for u, v in g.edges():
         if degrees[u] == tight or degrees[v] == tight:
             continue
-        if is_k_factor_critical(remove_edge(g, u, v), k).verdict:
+        if next(_edge_witnesses(g, k, (u, v), matcher), None) is None:
             return True, False
     return True, True
 
@@ -154,13 +165,16 @@ def _edge_witnesses(g: Graph, k: int, e: tuple[int, int], matcher: PerfectMatche
     if not g.has_edge(u, v):
         raise EdgeAbsent(f"edge {u}-{v} not in graph")
     _validate_k(g, k)
-    without_e = PerfectMatcher(remove_edge(g, u, v))
     full = g.vertex_mask
+    u_bit = 1 << u
+    partners = g.adj[u] & ~(1 << v)
     others = [w for w in range(g.n) if w != u and w != v]
     for subset in combinations(others, k):
         s_mask = mask_from(subset)
         rest = full & ~s_mask
-        if not without_e.pm_exists(rest) and matcher.pm_exists(rest):
+        if matcher.pm_exists(rest) and not any(
+            matcher.pm_exists(rest & ~(u_bit | 1 << w)) for w in iter_bits(partners & rest)
+        ):
             yield s_mask
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -315,7 +316,18 @@ def _orbit_leaders(gens: Sequence[Sequence[int]], top: int, reverse: list[int]) 
 
 @dataclass(frozen=True)
 class Catalog:
-    """A fixed-order collection of graphs, held as graph6 lines."""
+    """A fixed-order collection of graphs, held as graph6 lines.
+
+    The lines are decoded lazily, and at most once for the whole catalog:
+    the first pass over every line (an iteration, or ``survey`` at
+    ``jobs=1`` without ``skip``) keeps their adjacency rows on this object,
+    so later passes, such as sweeps at further k, parse nothing.  A pass
+    from ``skip`` > 0 decodes only the lines after ``skip`` and keeps
+    nothing.  The rows are derived, not a field: equality, hashing and
+    ``dataclasses.replace`` see only the lines, and a replaced catalog
+    decodes its own lines.  A malformed line, or one of another order than
+    ``n``, raises ``MalformedEncoding`` when a pass reaches it.
+    """
 
     n: int
     source: str
@@ -326,7 +338,27 @@ class Catalog:
         return len(self.graph6_lines)
 
     def __iter__(self) -> Iterator[Graph]:
-        return (parse_graph6(line) for line in self.graph6_lines)
+        return self._graphs(0)
+
+    def _graphs(self, skip: int) -> Iterator[Graph]:
+        """The graphs after the first ``skip``, rebuilt from the kept rows
+        when there are any.  The rows of a full pass are kept end to end,
+        ``n`` per graph, in the narrowest array type that holds ``n`` bits,
+        so that they take about the memory of the lines or less."""
+        n = self.n
+        rows = self.__dict__.get("_rows")
+        if rows is not None:
+            for i in range(skip, len(self)):
+                yield Graph._trusted(n, tuple(rows[i * n:(i + 1) * n]))
+            return
+        rows = None if skip else array(next((c for c in "BHIL" if array(c).itemsize * 8 >= n), "Q"))
+        for line in self.graph6_lines[skip:]:
+            g = _catalog_graph(line, n)
+            if rows is not None:
+                rows.extend(g.adj)
+            yield g
+        if rows is not None:
+            self.__dict__["_rows"] = rows  # frozen: bypass the dataclass setter
 
     @classmethod
     def from_graphs(cls, n: int, graphs: Iterable[Graph], source: str = "memory") -> Catalog:
@@ -336,6 +368,14 @@ class Catalog:
                 raise MalformedEncoding(f"graph of order {g.n} in order-{n} catalog")
             lines.append(encode_graph6(g))
         return cls(n, source, DEDUP_AS_IS, tuple(lines))
+
+
+def _catalog_graph(line: str, n: int) -> Graph:
+    """Decode one line of an order-``n`` catalog."""
+    g = parse_graph6(line)
+    if g.n != n:
+        raise MalformedEncoding(f"graph of order {g.n} in order-{n} catalog")
+    return g
 
 
 def read_graph6_lines(
@@ -474,9 +514,9 @@ def _profile_key(profile: dict[int, int]) -> str:
     return ",".join(f"{d}:{c}" for d, c in sorted(profile.items()))
 
 
-def _survey_record(line: str, k: int, invert_conjecture: bool) -> dict:
-    """Everything the aggregator needs about one catalog graph."""
-    g = parse_graph6(line)
+def _survey_record(line: str, g: Graph, k: int, invert_conjecture: bool) -> dict:
+    """Everything the aggregator needs about one catalog graph, ``g`` being
+    the graph that ``line`` encodes."""
     record: dict = {"graph6": line, "kfc": False, "minimal": False}
     try:
         record["kfc"], record["minimal"] = kfc_and_minimal(g, k)
@@ -525,9 +565,9 @@ def _survey_record(line: str, k: int, invert_conjecture: bool) -> dict:
     return record
 
 
-def _survey_chunk(args: tuple[list[str], int, bool]) -> list[dict]:
-    lines, k, invert = args
-    return [_survey_record(line, k, invert) for line in lines]
+def _survey_chunk(args: tuple[list[str], int, int, bool]) -> list[dict]:
+    lines, n, k, invert = args
+    return [_survey_record(line, _catalog_graph(line, n), k, invert) for line in lines]
 
 
 def survey(
@@ -560,12 +600,11 @@ def survey(
     if not 0 <= skip <= len(catalog):
         raise PreconditionUnmet(f"skip={skip} outside 0..{len(catalog)}")
     report = SurveyReport(n=n, k=k, source=catalog.source)
-    lines = catalog.graph6_lines[skip:]
     if jsonl_path is not None and skip:
         _check_resume(jsonl_path, catalog.graph6_lines, skip)
     sink = open(jsonl_path, "a" if skip else "w", encoding="utf-8") if jsonl_path else None
     try:
-        for record in _iter_records(lines, k, jobs, invert_conjecture):
+        for record in _iter_records(catalog, skip, k, jobs, invert_conjecture):
             if sink is not None:
                 sink.write(_JSONL_ENCODER.encode(record) + "\n")
             _fold_record(report, record, raise_on_violation, on_minimal)
@@ -603,14 +642,20 @@ def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
             handle.truncate(len(complete))
 
 
-def _iter_records(lines: Sequence[str], k: int, jobs: int, invert: bool) -> Iterator[dict]:
+def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int, invert: bool) -> Iterator[dict]:
+    """The records of the catalog's graphs after the first ``skip``, in
+    order.  In one process they come from the catalog's own pass, which
+    reuses or keeps its decoded rows; a pool's workers receive graph6 lines
+    and decode their own."""
+    lines = catalog.graph6_lines[skip:]
     if jobs <= 1 or len(lines) < 64:
-        for line in lines:
-            yield _survey_record(line, k, invert)
+        # strict: the pass must run to its end, where it keeps the rows
+        for line, g in zip(lines, catalog._graphs(skip), strict=True):
+            yield _survey_record(line, g, k, invert)
         return
     chunk_size = max(32, len(lines) // (jobs * 16))
     chunks = [
-        (list(lines[i:i + chunk_size]), k, invert)
+        (list(lines[i:i + chunk_size]), catalog.n, k, invert)
         for i in range(0, len(lines), chunk_size)
     ]
     with multiprocessing.get_context("fork").Pool(jobs) as pool:

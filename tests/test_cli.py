@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from factorcrit import cycle_graph, encode_graph6, parse_graph6, wheel_graph
+from factorcrit import cycle_graph, encode_graph6, parse_graph6, path_graph, wheel_graph
 from factorcrit.cli import default_jobs, main
 
 
@@ -386,3 +386,19 @@ def test_verify_failed_verdict_exits_3_golden(monkeypatch, capsys):
     for argv, digest in VERIFY_VIOLATION_GOLDEN.items():
         code, out, _ = run_cli(argv.split(), capsys=capsys)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (3, digest), argv
+
+
+def test_verify_notes_when_no_checker_applies(capsys):
+    note = "note: A_: no statement checker applies (order 2 is below 6, no --k)\n"
+    assert run_cli(["verify", "A_"], capsys=capsys) == (0, "", note)
+    code, out, err = run_cli(["verify", "--json", "A_"], capsys=capsys)
+    assert (code, json.loads(out)["results"], err) == (0, [], note)
+    p3 = encode_graph6(path_graph(3))
+    code, out, err = run_cli(["verify", "--k", "1", p3], capsys=capsys)
+    assert code == 0 and "not minimally 1-factor-critical" in out
+    assert err == (f"note: {p3}: no statement checker applies "
+                   "(order 3 is below 6, not minimally 1-factor-critical)\n")
+    c5 = encode_graph6(cycle_graph(5))
+    for argv in (["verify", "GhCKN{"], ["verify", "--k", "1", c5]):
+        code, out, err = run_cli(argv, capsys=capsys)
+        assert code == 0 and out and err == ""

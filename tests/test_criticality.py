@@ -244,3 +244,21 @@ def test_theorem_violated_is_raised_not_returned():
     assert ps_reduction_check(remove_edge(complete_graph(6), 0, 1), 2, 0, 1,
                               raise_on_violation=True) is True
     assert isinstance(TheoremViolated("x"), Exception)
+
+
+def test_edge_witness_shortcut_matches_definitional_order_8(catalog):
+    # kfc_and_minimal decides "G - e is still k-factor-critical" by the
+    # witness search over the C(n-2, k) k-sets that avoid e; the reference
+    # tests every k-set of every G - e.
+    for k, counts in {2: (2190, 21), 4: (35, 5), 6: (1, 1)}.items():
+        kfc_count = minimal_count = 0
+        for g in catalog(8):
+            kfc = is_k_factor_critical(g, k).verdict
+            minimal = kfc and not any(
+                is_k_factor_critical(remove_edge(g, u, v), k).verdict
+                for u, v in g.edges()
+            )
+            assert kfc_and_minimal(g, k) == (kfc, minimal), (g.edges(), k)
+            kfc_count += kfc
+            minimal_count += minimal
+        assert (kfc_count, minimal_count) == counts, k

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import networkx as nx
 import pytest
@@ -225,6 +226,27 @@ def test_connectivity_agrees_with_networkx(catalog):
             continue
         h = to_networkx(g)
         assert connectivity(g) == (nx.node_connectivity(h), nx.edge_connectivity(h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graph_strategy(max_n=24))
+def test_connectivity_agrees_with_networkx_up_to_order_24(g):
+    if g.n < 2:
+        return
+    h = to_networkx(g)
+    assert connectivity(g) == (nx.node_connectivity(h), nx.edge_connectivity(h))
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [(complete_graph(30), (29, 29)), (complete_bipartite(15, 15), (15, 15)),
+     (complete_graph(62), (61, 61))],
+    ids=["K30", "K15,15", "K62"],
+)
+def test_connectivity_polynomial_on_dense_graphs(g, expected):
+    start = time.perf_counter()
+    assert connectivity(g) == expected
+    assert time.perf_counter() - start <= 2.0
 
 
 @settings(max_examples=60)

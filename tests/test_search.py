@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -436,7 +437,7 @@ def test_statement_table_covers_every_reported_id(catalog):
     reported = {CONFIG_COMPLETENESS, CONFIG_PREDICATES}
     for line, k in cases:
         for invert in (False, True):
-            record = search._survey_record(line, k, invert)
+            record = search._survey_record(line, parse_graph6(line), k, invert)
             reported.update(verdict["theorem"] for verdict in record.get("verdicts", ()))
             reported.update(record.get("failures", ()))
     assert {"T4.1", "Conj1.3", "L2.5"} <= reported
@@ -455,3 +456,89 @@ def test_hunt_examples():
 def test_catalog_rejects_mixed_orders(catalog):
     with pytest.raises(MalformedEncoding):
         Catalog.from_graphs(5, catalog(4))
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    """Record every line that ``search`` decodes from now on."""
+    calls: list[str] = []
+    original = search.parse_graph6
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(search, "parse_graph6", counting)
+    return calls
+
+
+def test_catalog_decodes_its_lines_once(tmp_path: Path, monkeypatch):
+    cat = enumerate_catalog(7)
+    calls = _count_parses(monkeypatch)
+    first = survey(cat, 3, jsonl_path=str(tmp_path / "first.jsonl"))
+    assert calls == list(cat.graph6_lines)
+    calls.clear()
+    second = survey(cat, 3, jsonl_path=str(tmp_path / "second.jsonl"))
+    for k in (1, 5):
+        survey(cat, k)
+    survey(cat, 1, skip=1000)
+    assert [encode_graph6(g) for g in cat] == list(cat.graph6_lines)
+    assert calls == []
+    assert second.to_json() == first.to_json()
+    assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
+    survey(cat, 3, jobs=2, jsonl_path=str(tmp_path / "pooled.jsonl"))
+    assert (tmp_path / "pooled.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
+
+
+def test_resumed_first_pass_decodes_only_the_tail(tmp_path: Path, monkeypatch):
+    lines = enumerate_catalog(7).graph6_lines
+    cat = Catalog(7, "memory", "as-is", lines)
+    calls = _count_parses(monkeypatch)
+    survey(cat, 3, skip=1000)
+    assert calls == list(lines[1000:])
+    calls.clear()
+    survey(cat, 3)
+    survey(cat, 5)
+    assert calls == list(lines)
+
+
+def test_decoding_leaves_equality_and_replace_alone():
+    cat = enumerate_catalog(6)
+    fresh = enumerate_catalog(6)
+    list(cat)
+    assert cat == fresh and hash(cat) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(cat)] == ["n", "source", "dedup", "graph6_lines"]
+    part = dataclasses.replace(cat, graph6_lines=cat.graph6_lines[:10])
+    assert "_rows" not in vars(part)
+    assert [encode_graph6(g) for g in part] == list(cat.graph6_lines[:10])
+
+
+def test_catalog_slices_fold_to_the_whole(tmp_path: Path):
+    cat = enumerate_catalog(7)
+    lines = cat.graph6_lines
+    for k in (1, 3, 5):
+        whole_path = tmp_path / f"whole{k}.jsonl"
+        whole = survey(cat, k, jsonl_path=str(whole_path))
+        folded = search.SurveyReport(n=7, k=k, source=cat.source)
+        texts = []
+        for start in range(0, len(lines), 300):
+            part = dataclasses.replace(cat, graph6_lines=lines[start:start + 300])
+            path = tmp_path / f"part{k}_{start}.jsonl"
+            survey(part, k, jsonl_path=str(path))
+            texts.append(path.read_text(encoding="utf-8"))
+            for raw in texts[-1].splitlines():
+                search._fold_record(folded, json.loads(raw), True, None)
+        assert "".join(texts) == whole_path.read_text(encoding="utf-8")
+        assert folded.to_json() == whole.to_json()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("bad", ["garbage!!", "D??"], ids=["malformed", "order-5"])
+def test_direct_catalog_with_bad_line_raises(tmp_path: Path, jobs, bad):
+    cat = Catalog(4, "memory", "as-is", ("C~",) * 70 + (bad,))
+    sink = tmp_path / "records.jsonl"
+    with pytest.raises(MalformedEncoding):
+        survey(cat, 2, jobs=jobs, jsonl_path=str(sink))
+    if jobs == 1:  # the records ahead of the bad line are written first
+        assert len(sink.read_text(encoding="utf-8").splitlines()) == 70
+    with pytest.raises(MalformedEncoding):
+        list(cat)
