@@ -60,6 +60,7 @@ from .matching import (
     TutteCertificate,
     enumerate_perfect_matchings,
     forced_edge,
+    gallai_edmonds_barrier,
     has_perfect_matching,
     maximum_matching,
     tutte_violators,

@@ -25,7 +25,13 @@ from typing import Iterable
 
 from .errors import EdgeAbsent, FactorCritError, TheoremViolated
 from .graph import Graph, bits_list, encode_graph6, parse_graph6
-from .matching import maximum_matching, tutte_violators
+from .matching import (
+    VIOLATOR_MAX_ORDER,
+    TutteCertificate,
+    gallai_edmonds_barrier,
+    maximum_matching,
+    tutte_violators,
+)
 from .criticality import (
     is_k_factor_critical,
     is_minimally_kfc,
@@ -127,12 +133,17 @@ def _pm(args: argparse.Namespace, label: str, g: Graph, results: list, lines: li
                     "matching": [list(e) for e in matching.edges]})
     lines.append(f"{label}: perfect matching: {'yes' if matching.is_perfect else 'no'} "
                  f"(maximum matching size {len(matching.edges)})")
-    if not matching.is_perfect:
-        for cert in tutte_violators(g, "first-minimal"):
-            results[-1]["violator"] = cert.to_json()
-            lines.append(f"  deficiency witness X={bits_list(cert.x_set)} "
-                         f"odd components {cert.partition.odd_count}")
-    return matching.is_perfect
+    if matching.is_perfect:
+        return True
+    if g.n > VIOLATOR_MAX_ORDER:  # the polynomial barrier, not a smallest set
+        key, name = "gallai_edmonds_barrier", "Gallai-Edmonds barrier"
+        cert = TutteCertificate.build(g, gallai_edmonds_barrier(g))
+    else:
+        key, name = "violator", "deficiency witness"
+        (cert,) = tutte_violators(g, "first-minimal")
+    results[-1][key] = cert.to_json()
+    lines.append(f"  {name} X={bits_list(cert.x_set)} odd components {cert.partition.odd_count}")
+    return False
 
 
 def _kfc(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
@@ -285,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", type=int, required=True, help="criticality parameter")
         p.set_defaults(func=_per_graph, step=step, fail_code=EXIT_FAIL)
 
-    p = sub.add_parser("pm", help="perfect-matching decision")
+    p = sub.add_parser("pm", help="perfect-matching decision; without one, a smallest "
+                       f"deficiency witness up to order {VIOLATOR_MAX_ORDER}, "
+                       "a Gallai-Edmonds barrier above")
     add_input(p, _pm)
 
     p = sub.add_parser("kfc", help="k-factor-criticality decision")

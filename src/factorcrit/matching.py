@@ -30,6 +30,9 @@ DEFAULT_PM_LIMIT = 10**6
 
 VIOLATOR_MODES = ("first-minimal", "all-minimal", "all")
 ALL_MODE_MAX_ORDER = 16
+# Largest order for the exhaustive search of ``tutte_violators``; above it,
+# ``gallai_edmonds_barrier`` gives a barrier in polynomial time.
+VIOLATOR_MAX_ORDER = 19
 
 
 @dataclass(frozen=True)
@@ -289,13 +292,19 @@ def tutte_violators(g: Graph, mode: str = "first-minimal") -> list[TutteCertific
     within a size, so minimality of the reported X (for the minimal modes) and
     determinism are part of the contract.  The result is empty exactly when
     the graph has a perfect matching; no matching shortcut is taken, the
-    subset search itself proves emptiness.
+    subset search itself proves emptiness.  The search is exponential, so
+    orders above ``VIOLATOR_MAX_ORDER`` raise ``LimitExceeded``.
     """
     if mode not in VIOLATOR_MODES:
         raise PreconditionUnmet(f"mode must be one of {VIOLATOR_MODES}")
     if mode == "all" and g.n > ALL_MODE_MAX_ORDER:
         raise PreconditionUnmet(
             f"mode 'all' is restricted to order <= {ALL_MODE_MAX_ORDER}"
+        )
+    if g.n > VIOLATOR_MAX_ORDER:
+        raise LimitExceeded(
+            f"the Tutte-set search is restricted to order <= {VIOLATOR_MAX_ORDER}; "
+            "gallai_edmonds_barrier gives a barrier at any order"
         )
     adj = g.adj
     full = g.vertex_mask
@@ -311,3 +320,25 @@ def tutte_violators(g: Graph, mode: str = "first-minimal") -> list[TutteCertific
             return found
     return found
 
+
+def gallai_edmonds_barrier(g: Graph) -> int:
+    """The Gallai-Edmonds set A as a vertex mask, in polynomial time.
+
+    D holds the vertices v with nu(G - v) = nu(G), those that some maximum
+    matching leaves exposed, and A = N(D) - D.  By the Gallai-Edmonds
+    structure theorem every component of G[D] is odd, the rest of G - A has
+    a perfect matching, and G - A has n - 2 nu + |A| odd components, so A
+    attains the deficiency n - 2 nu.  Unlike ``tutte_violators`` it need not
+    be a smallest such set.  One blossom matching per vertex.
+    """
+    size = len(maximum_matching(g).edges)
+    d_set = 0
+    for v in range(g.n):
+        bit = 1 << v
+        rows = tuple(0 if u == v else row & ~bit for u, row in enumerate(g.adj))
+        if len(maximum_matching(Graph._trusted(g.n, rows)).edges) == size:
+            d_set |= bit
+    reach = 0
+    for v in iter_bits(d_set):
+        reach |= g.adj[v]
+    return reach & ~d_set

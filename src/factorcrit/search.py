@@ -38,6 +38,28 @@ from P's own accepted orderly test, which walks every labeling that ties
 the identity: each leaf it reaches is an automorphism, and each twin swap it
 prunes is one too.  Together they generate Aut(P), since every automorphism
 either is a leaf or maps to one under the swaps of the subtrees it enters.
+
+Two rules cut the orderly tests further without changing any output:
+
+- Last-swap prefilter, at every level.  Swapping vertices m-2 and m-1 keeps
+  columns 1..m-3 and turns column m-2 into the new vertex's row over
+  vertices 0..m-3, which is the mask's code without its last bit.  When that
+  is smaller than P's column m-2, the swap proves P+mask is not minimal, so
+  the mask is skipped untested.  Only accepted tests yield automorphisms,
+  and every skipped mask would have been rejected, so no generator is lost.
+- Insertion bound, at the last level only.  A labeling that places the new
+  vertex t last cannot come out smaller: its first columns relabel P, which
+  is canonical, and on a tie the relabeling is an automorphism s of P,
+  whose s(mask) has no smaller code than the orbit leader mask.  So while t
+  is unplaced at depth j, with its row over the placed prefix reading c,
+  every smaller labeling places t at some position i >= j, after columns
+  1..i-1 that tie P's.  Column i then starts with the bits c, so if c
+  exceeds the first j bits of each of P's columns i >= j
+  (``_insertion_limits``), the subtree holds nothing smaller and is cut.
+  This needs the orbit leaders of the full Aut(P), hence generators that
+  generate it.  At the other levels the cut subtrees hold the leaves and
+  twin swaps that the next level's orbit leaders come from, so there the
+  tests keep walking them; the last level keeps no automorphisms.
 """
 
 from __future__ import annotations
@@ -109,7 +131,11 @@ def _column_codes(adj: Sequence[int], n: int) -> list[int]:
 
 
 def _min_columns(
-    adj: Sequence[int], best: list[int], orderly: bool, autos: set | None = None
+    adj: Sequence[int],
+    best: list[int],
+    orderly: bool,
+    autos: set | None = None,
+    limits: Sequence[int] | None = None,
 ) -> list[int] | None:
     """Column codes of the lexicographically minimal relabeling of ``adj``.
 
@@ -128,13 +154,21 @@ def _min_columns(
     placed vertex's row in turn while following the best column's bit for
     that vertex.  Twins of a candidate already explored at the same depth
     are skipped (see the module docstring).
+
+    ``limits``, for an orderly test at the last generation level only, is
+    ``_insertion_limits`` of the canonical parent's codes: a subtree is cut
+    once the new vertex n-1, still unplaced, has a row over the placed
+    prefix above ``limits[j]`` (the insertion bound of the module
+    docstring).  It cuts leaves too, so it must not be given with ``autos``.
     """
     n = len(best)
     placed = [0] * n  # row of the vertex at each filled position
     labels = [0] * n  # the vertex itself
     bounded = n  # positions below this one are bounded by ``best``
+    last = n - 1  # the new vertex, for ``limits``
+    last_row = adj[last] if limits is not None else 0
 
-    def dfs(j: int, unplaced: int) -> bool:
+    def dfs(j: int, unplaced: int, prefix: int) -> bool:
         nonlocal bounded
         if j == n:
             if autos is not None:
@@ -190,13 +224,18 @@ def _min_columns(
                     autos.add(low | other)
                 continue
             explored |= low
+            child = 0  # the new vertex's row over the child's prefix
+            if limits is not None and v != last and unplaced >> last:
+                child = prefix << 1 | last_row >> v & 1
+                if child > limits[j + 1]:  # the insertion bound
+                    continue
             placed[j] = row
             labels[j] = v
-            if not dfs(j + 1, unplaced ^ low):
+            if not dfs(j + 1, unplaced ^ low, child):
                 return False
         return True
 
-    return best if dfs(0, (1 << n) - 1) else None
+    return best if dfs(0, (1 << n) - 1, 0) else None
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -234,32 +273,47 @@ def generate_nonisomorphic(n: int) -> Iterator[Graph]:
     level: list[_Parent] = [((0,), ())]
     for m in range(2, n):
         level = [(adj, _generators(autos, m)) for adj, autos in _extend_level(level, m)]
-    for adj, _autos in _extend_level(level, n):
+    for adj, _autos in _extend_level(level, n, last=True):
         yield Graph._trusted(n, adj)
 
 
-def _extend_level(parents: Iterable[_Parent], m: int) -> Iterator[tuple[tuple[int, ...], set]]:
+def _extend_level(
+    parents: Iterable[_Parent], m: int, last: bool = False
+) -> Iterator[tuple[tuple[int, ...], set | None]]:
     """The canonical children of order ``m`` of each parent, with the
-    automorphisms their orderly tests met.
+    automorphisms their orderly tests met, or None at the ``last`` level,
+    which keeps none and applies the insertion bound instead.
 
     A child's columns 1..m-2 are its parent's and its last column's code is
     the bit-reverse of the mask, so both are computed once; only the masks
-    that ``_orbit_leaders`` keeps are tested."""
+    that ``_orbit_leaders`` keeps and the last-swap prefilter passes are
+    tested."""
     top = m - 1
     reverse = _subset_images(range(top - 1, -1, -1))  # mask -> last-column code
-    autos: set = set()
     for parent, gens in parents:
         codes = _column_codes(parent, top)
+        limits = _insertion_limits(codes) if last else None
         codes.append(0)
         for mask in _orbit_leaders(gens, top, reverse):
+            code = reverse[mask]
+            if code >> 1 < codes[top - 1]:  # the last-swap prefilter
+                continue
             adj = [parent[v] | ((mask >> v & 1) << top) for v in range(top)]
             adj.append(mask)
-            codes[top] = reverse[mask]
-            if _min_columns(adj, codes, orderly=True, autos=autos) is not None:
+            codes[top] = code
+            autos = None if last else set()
+            if _min_columns(adj, codes, orderly=True, autos=autos, limits=limits) is not None:
                 yield tuple(adj), autos
-                autos = set()
-            else:
-                autos.clear()
+
+
+def _insertion_limits(codes: Sequence[int]) -> list[int]:
+    """For a canonical parent's column codes, ``limits[j]`` is the largest
+    first j bits of any column i >= j, ``codes[i] >> (i - j)``, and -1 for
+    j = len(codes), where no column is left."""
+    limits = [-1] * (len(codes) + 1)
+    for j in range(len(codes) - 1, -1, -1):
+        limits[j] = max(codes[j], limits[j + 1] >> 1)
+    return limits
 
 
 def _generators(autos: set, n: int) -> tuple[tuple[int, ...], ...]:

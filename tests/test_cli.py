@@ -4,11 +4,19 @@ import hashlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from factorcrit import cycle_graph, encode_graph6, parse_graph6, path_graph, wheel_graph
+from factorcrit import (
+    complete_bipartite,
+    cycle_graph,
+    encode_graph6,
+    parse_graph6,
+    path_graph,
+    wheel_graph,
+)
 from factorcrit.cli import default_jobs, main
 
 
@@ -43,6 +51,17 @@ def test_pm_json_schema(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["schema"] == 1
     assert payload["results"][0]["perfect_matching"] is True
+
+
+@pytest.mark.parametrize("sides", [(14, 16), (30, 32)])
+def test_pm_reports_a_barrier_above_the_search_gate(capsys, sides):
+    started = time.monotonic()
+    code, out, _ = run_cli(["pm", "--json", encode_graph6(complete_bipartite(*sides))], capsys=capsys)
+    assert time.monotonic() - started <= 2.0
+    result = json.loads(out)["results"][0]
+    assert code == 1 and "violator" not in result
+    assert result["gallai_edmonds_barrier"]["x"] == list(range(sides[0]))
+    assert result["gallai_edmonds_barrier"]["deficit"] == 2
 
 
 def test_kfc_failing_set(capsys):

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcrit import (
     EdgeAbsent,
@@ -12,10 +15,13 @@ from factorcrit import (
     LimitExceeded,
     Matching,
     PreconditionUnmet,
+    TutteCertificate,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_perfect_matchings,
     forced_edge,
+    gallai_edmonds_barrier,
     has_perfect_matching,
     max_deficiency,
     maximum_matching,
@@ -26,7 +32,8 @@ from factorcrit import (
     tutte_violators,
     wheel_graph,
 )
-from factorcrit.graph import bits_list
+from factorcrit.graph import _odd_component_count, bits_list
+from factorcrit.matching import VIOLATOR_MAX_ORDER
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -186,6 +193,39 @@ def test_duality_and_berge_formula_small(catalog):
             assert pm == (not tutte_violators(g, "first-minimal"))
             assert pm == (len(enumerate_perfect_matchings(g, limit=1).matchings) > 0)
             assert len(maximum_matching(g).edges) == (g.n - deficiency) // 2
+
+
+def _assert_barrier_attains_the_deficiency(g: Graph) -> None:
+    barrier = gallai_edmonds_barrier(g)
+    odd = _odd_component_count(g.adj, g.vertex_mask & ~barrier)
+    assert odd - barrier.bit_count() == g.n - 2 * len(maximum_matching(g).edges)
+
+
+def test_gallai_edmonds_barrier_attains_the_deficiency(catalog):
+    for n in range(1, 8):
+        for g in catalog(n):
+            _assert_barrier_attains_the_deficiency(g)
+
+
+@pytest.mark.parametrize("sides", [(14, 16), (30, 32)])
+def test_gallai_edmonds_barrier_is_fast_where_the_search_is_gated(sides):
+    g = complete_bipartite(*sides)
+    started = time.monotonic()
+    cert = TutteCertificate.build(g, gallai_edmonds_barrier(g))
+    assert time.monotonic() - started <= 2.0
+    assert bits_list(cert.x_set) == list(range(sides[0]))
+    assert cert.deficit == 2
+    assert g.n > VIOLATOR_MAX_ORDER
+    with pytest.raises(LimitExceeded):
+        tutte_violators(g)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(20, 62), st.floats(0.02, 0.3), st.randoms(use_true_random=False))
+def test_gallai_edmonds_barrier_large_orders(n, p, rng):
+    started = time.monotonic()
+    _assert_barrier_attains_the_deficiency(_random_graph(rng, n, p))
+    assert time.monotonic() - started <= 2.0
 
 
 def test_matching_type_validation():

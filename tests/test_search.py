@@ -39,10 +39,14 @@ from factorcrit import (
 )
 from factorcrit import search
 from factorcrit.search import read_graph6_lines
+from goldens import GENERATION_GOLDEN
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 # graphs of order m with one distinguished vertex, up to isomorphism (OEIS A000666)
 ROOTED_COUNTS = {2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096}
+# orderly tests per level of generate_nonisomorphic(7): the orbit leaders
+# that the last-swap prefilter passes
+ORDERLY_TESTS = {2: 2, 3: 4, 4: 11, 5: 36, 6: 184, 7: 1311}
 
 
 def _burnside_count(n: int) -> int:
@@ -120,27 +124,95 @@ def test_generate_order_gate():
         list(generate_nonisomorphic(0))
 
 
-def test_orderly_tests_per_level_equal_rooted_graph_counts(monkeypatch):
-    """Level m tests one extension per orbit of each parent's automorphism
+def test_orbit_leaders_per_level_equal_rooted_graph_counts(monkeypatch):
+    """Level m keeps one extension per orbit of each parent's automorphism
     group on the masks, and those orbits are the rooted graphs of order m.
     The count holds only if the automorphisms that each accepted parent's
     orderly test met generate its full group."""
+    leaders: collections.Counter = collections.Counter()
+    orbit_leaders = search._orbit_leaders
+
+    def counting(gens, top, reverse):
+        kept = list(orbit_leaders(gens, top, reverse))
+        leaders[top + 1] += len(kept)
+        return kept
+
+    monkeypatch.setattr(search, "_orbit_leaders", counting)
+    assert sum(1 for _ in generate_nonisomorphic(7)) == KNOWN_COUNTS[7]
+    assert dict(leaders) == ROOTED_COUNTS
+
+
+def test_orderly_tests_per_level(monkeypatch):
+    """The last-swap prefilter leaves few more tests than children at every
+    level, and the insertion bound cuts only inside the last level's tests."""
     tested: collections.Counter = collections.Counter()
     min_columns = search._min_columns
 
-    def counting(adj, best, orderly, autos=None):
+    def counting(adj, best, orderly, autos=None, limits=None):
         tested[len(best)] += orderly
-        return min_columns(adj, best, orderly, autos)
+        return min_columns(adj, best, orderly, autos, limits)
 
     monkeypatch.setattr(search, "_min_columns", counting)
     assert sum(1 for _ in generate_nonisomorphic(7)) == KNOWN_COUNTS[7]
-    assert dict(tested) == ROOTED_COUNTS
+    assert dict(tested) == ORDERLY_TESTS
+
+
+def _parents(m: int) -> list:
+    """The parents of generation level m: the graphs of order m-1 with their
+    automorphism generators."""
+    level = [((0,), ())]
+    for k in range(2, m):
+        level = [(adj, search._generators(autos, k)) for adj, autos in search._extend_level(level, k)]
+    return level
+
+
+def _child(parent: tuple[int, ...], mask: int) -> list[int]:
+    top = len(parent)
+    return [parent[v] | ((mask >> v & 1) << top) for v in range(top)] + [mask]
+
+
+def test_last_swap_prefilter_skips_only_rejected_extensions():
+    skipped = 0
+    for m in range(2, 8):
+        top = m - 1
+        reverse = search._subset_images(range(top - 1, -1, -1))
+        for parent, gens in _parents(m):
+            last_column = search._column_codes(parent, top)[top - 1]
+            for mask in search._orbit_leaders(gens, top, reverse):
+                if reverse[mask] >> 1 < last_column:
+                    skipped += 1
+                    adj = _child(parent, mask)
+                    assert search._min_columns(adj, search._column_codes(adj, m), orderly=True) is None
+    assert skipped == sum(ROOTED_COUNTS.values()) - sum(ORDERLY_TESTS.values())
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_insertion_bound_keeps_every_verdict(m):
+    """At the last level the bound may cut a test short but never changes
+    its verdict, for every orbit leader of every parent of order m-1."""
+    top = m - 1
+    reverse = search._subset_images(range(top - 1, -1, -1))
+    accepted = 0
+    for parent, gens in _parents(m):
+        codes = search._column_codes(parent, top)
+        limits = search._insertion_limits(codes)
+        for mask in search._orbit_leaders(gens, top, reverse):
+            adj = _child(parent, mask)
+            plain = search._min_columns(adj, codes + [reverse[mask]], orderly=True)
+            bounded = search._min_columns(adj, codes + [reverse[mask]], orderly=True, limits=limits)
+            assert (plain is None) == (bounded is None)
+            accepted += plain is not None
+    assert accepted == {7: KNOWN_COUNTS[7], 8: 12346}[m]
+
+
+def test_generation_matches_golden_hashes_to_order_8():
+    for n in range(1, 9):
+        payload = "".join(encode_graph6(g) + "\n" for g in generate_nonisomorphic(n)).encode("ascii")
+        assert hashlib.sha256(payload).hexdigest() == GENERATION_GOLDEN[n], n
 
 
 def test_orbit_filter_skips_only_rejected_extensions():
-    level = [((0,), ())]
-    for m in range(2, 7):
-        level = [(adj, search._generators(autos, m)) for adj, autos in search._extend_level(level, m)]
+    level = _parents(7)
     assert len(level) == KNOWN_COUNTS[6]
     top = 6
     reverse = search._subset_images(range(top - 1, -1, -1))
@@ -152,7 +224,7 @@ def test_orbit_filter_skips_only_rejected_extensions():
         leaders = set(search._orbit_leaders(gens, top, reverse))
         for mask in set(range(1 << top)) - leaders:
             skipped += 1
-            adj = [parent[v] | ((mask >> v & 1) << top) for v in range(top)] + [mask]
+            adj = _child(parent, mask)
             assert search._min_columns(adj, search._column_codes(adj, 7), orderly=True) is None
     assert skipped == KNOWN_COUNTS[6] * (1 << top) - ROOTED_COUNTS[7]
 
@@ -220,6 +292,11 @@ def test_catalog_ingest_canonical_dedup_order_20(tmp_path: Path):
     cat = enumerate_catalog(20, path=str(path), dedup="canonical")
     assert time.monotonic() - started <= 2.0
     assert len(cat) == 1
+
+
+def test_canonical_form_of_the_order_0_graph():
+    empty = parse_graph6("?")
+    assert empty.n == 0 and canonical_form(empty) == empty
 
 
 def test_canonical_form_is_isomorphism_invariant():
