@@ -10,9 +10,10 @@ whether the queried property held.  Nothing is printed until every graph
 has been processed, so an error exits without partial output.
 
 Exit codes: 0 when the queried property holds (or a sweep is clean), 1 when
-it fails or a counterexample surfaced, 2 on usage or parse errors, 3 when an
-expected-true check was violated.  Text output is human-oriented and not a
-stable interface; pass --json for the versioned machine format.
+it fails or a counterexample surfaced, 2 on usage or parse errors and on
+files that cannot be opened, 3 when an expected-true check was violated.
+Text output is human-oriented and not a stable interface; pass --json for
+the versioned machine format.
 """
 
 from __future__ import annotations
@@ -382,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except TheoremViolated as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except FactorCritError as exc:
+    except (FactorCritError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,7 +32,7 @@ from .graph import (
     non_neighborhood,
     remove_edge,
 )
-from .matching import PerfectMatcher, TutteCertificate, tutte_violators
+from .matching import TutteCertificate, has_perfect_matching, tutte_violators
 from .criticality import minimality_certificate
 
 FAMILY_A = "A"
@@ -82,9 +82,9 @@ class ResidualInstance:
         else:
             if g.min_degree() < 1:
                 raise FamilyPreconditionUnmet("residual graph has an isolated vertex")
-        if PerfectMatcher(g).has_perfect_matching():
+        if has_perfect_matching(g):
             raise NotDeficient("residual graph has a perfect matching")
-        if not PerfectMatcher(restored).has_perfect_matching():
+        if not has_perfect_matching(restored):
             raise NotRestorable("adding the designated pair does not restore a matching")
 
 

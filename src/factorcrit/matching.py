@@ -2,9 +2,10 @@
 
 The maximum-matching routine is an augmenting-path search with blossom
 contraction; the test suite checks it against the brute-force oracle in
-``oracles`` on every small graph.  Perfect-matching decisions go through a
-memoized recursion over vertex subsets so that sweeps which probe many induced
-subgraphs of the same graph share work.
+``oracles`` on every small graph, and it decides whether a whole graph has a
+perfect matching.  Sweeps that probe many induced subgraphs of the same graph
+go through ``PerfectMatcher``, a memoized recursion over vertex subsets, so
+that they share work.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ class PerfectMatcher:
 
     def __init__(self, g: Graph) -> None:
         self.adj = g.adj
-        self.full = g.vertex_mask
         self._memo: dict[int, bool] = {0: True}
 
     def pm_exists(self, mask: int) -> bool:
@@ -131,13 +131,11 @@ class PerfectMatcher:
         memo[mask] = found
         return found
 
-    def has_perfect_matching(self) -> bool:
-        return self.pm_exists(self.full)
-
 
 def has_perfect_matching(g: Graph) -> bool:
-    """True iff ``g`` has a perfect matching (false for odd order)."""
-    return PerfectMatcher(g).has_perfect_matching()
+    """True iff ``g`` has a perfect matching (false for odd order), from
+    one blossom matching in polynomial time."""
+    return maximum_matching(g).is_perfect
 
 
 def maximum_matching(g: Graph) -> Matching:

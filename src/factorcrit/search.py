@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -94,10 +95,8 @@ from .configurations import (
 from .verifiers import (
     CONFIG_COMPLETENESS,
     CONFIG_PREDICATES,
-    MIN_DEGREE_CONJECTURE,
-    MIN_DEGREE_OFFSET_8,
-    MIN_DEGREE_PROVEN,
     STATEMENTS,
+    check_conjecture,
     minimal_verdicts,
 )
 
@@ -568,7 +567,7 @@ def _profile_key(profile: dict[int, int]) -> str:
     return ",".join(f"{d}:{c}" for d, c in sorted(profile.items()))
 
 
-def _survey_record(line: str, g: Graph, k: int, invert_conjecture: bool) -> dict:
+def _survey_record(line: str, g: Graph, k: int) -> dict:
     """Everything the aggregator needs about one catalog graph, ``g`` being
     the graph that ``line`` encodes."""
     record: dict = {"graph6": line, "kfc": False, "minimal": False}
@@ -581,13 +580,8 @@ def _survey_record(line: str, g: Graph, k: int, invert_conjecture: bool) -> dict
         verdicts = []
         failures: list[str] = []
         for verdict in minimal_verdicts(g, k, verified=True):
-            passed = verdict.passed
-            if invert_conjecture and verdict.theorem in (
-                MIN_DEGREE_CONJECTURE, MIN_DEGREE_PROVEN, MIN_DEGREE_OFFSET_8
-            ):
-                passed = None if passed is None else not passed
-            verdicts.append({"theorem": verdict.theorem, "applicable": verdict.applicable, "pass": passed})
-            if verdict.applicable and passed is False:
+            verdicts.append({"theorem": verdict.theorem, "applicable": verdict.applicable, "pass": verdict.passed})
+            if verdict.failed:
                 failures.append(verdict.theorem)
         record["verdicts"] = verdicts
         if g.n - k in (6, 8):
@@ -619,9 +613,9 @@ def _survey_record(line: str, g: Graph, k: int, invert_conjecture: bool) -> dict
     return record
 
 
-def _survey_chunk(args: tuple[list[str], int, int, bool]) -> list[dict]:
-    lines, n, k, invert = args
-    return [_survey_record(line, _catalog_graph(line, n), k, invert) for line in lines]
+def _survey_chunk(args: tuple[list[str], int, int]) -> list[dict]:
+    lines, n, k = args
+    return [_survey_record(line, _catalog_graph(line, n), k) for line in lines]
 
 
 def survey(
@@ -632,7 +626,6 @@ def survey(
     jsonl_path: str | None = None,
     skip: int = 0,
     on_minimal: Callable[[str], None] | None = None,
-    invert_conjecture: bool = False,
 ) -> SurveyReport:
     """Run the criticality, minimality, and statement checks over a catalog.
 
@@ -643,8 +636,9 @@ def survey(
     ``PreconditionUnmet`` before any file is opened.  A resumed file must hold exactly ``skip`` complete
     records, for the first ``skip`` catalog graphs in order, or
     ``ResumeMismatch`` is raised; a torn last line left by a crash is cut
-    off first.  ``invert_conjecture`` flips the minimum-degree verdict and
-    exists solely so tests can prove the hunter detects plants.
+    off first.  ``on_minimal`` receives the graph6 line of each minimally
+    k-factor-critical graph, in catalog order.  ``jobs`` is capped at the
+    CPU count.
     """
     n = catalog.n
     if not 1 <= k <= n - 2:
@@ -658,7 +652,7 @@ def survey(
         _check_resume(jsonl_path, catalog.graph6_lines, skip)
     sink = open(jsonl_path, "a" if skip else "w", encoding="utf-8") if jsonl_path else None
     try:
-        for record in _iter_records(catalog, skip, k, jobs, invert_conjecture):
+        for record in _iter_records(catalog, skip, k, jobs):
             if sink is not None:
                 sink.write(_JSONL_ENCODER.encode(record) + "\n")
             _fold_record(report, record, raise_on_violation, on_minimal)
@@ -696,20 +690,21 @@ def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
             handle.truncate(len(complete))
 
 
-def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int, invert: bool) -> Iterator[dict]:
+def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[dict]:
     """The records of the catalog's graphs after the first ``skip``, in
     order.  In one process they come from the catalog's own pass, which
-    reuses or keeps its decoded rows; a pool's workers receive graph6 lines
-    and decode their own."""
+    reuses or keeps its decoded rows; a pool of at most one worker per CPU
+    receives graph6 lines and decodes its own."""
     lines = catalog.graph6_lines[skip:]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(lines) < 64:
         # strict: the pass must run to its end, where it keeps the rows
         for line, g in zip(lines, catalog._graphs(skip), strict=True):
-            yield _survey_record(line, g, k, invert)
+            yield _survey_record(line, g, k)
         return
     chunk_size = max(32, len(lines) // (jobs * 16))
     chunks = [
-        (list(lines[i:i + chunk_size]), catalog.n, k, invert)
+        (list(lines[i:i + chunk_size]), catalog.n, k)
         for i in range(0, len(lines), chunk_size)
     ]
     with multiprocessing.get_context("fork").Pool(jobs) as pool:
@@ -776,8 +771,12 @@ def hunt_counterexamples(
 
     ``k_rule`` is either "all-valid" or an offset c meaning k = n - c.
     Orders with a supplied file are ingested, the rest generated.
-    ``invert_predicate`` flips the minimum-degree check so the harness can
-    prove that planted failures surface.
+
+    ``invert_predicate`` is a self-test that failures surface: after each
+    k's survey, every minimal graph on which the minimum-degree statement
+    (``check_conjecture``) holds is appended as a planted failure of that
+    statement's id.  The survey itself is unchanged, so a genuine failure
+    of any statement, the minimum-degree one included, is still reported.
     """
     files = files or {}
     found: list[tuple[str, str]] = []
@@ -788,12 +787,12 @@ def hunt_counterexamples(
         else:
             ks = valid_k_values(n)
         for k in ks:
-            result = survey(
-                catalog,
-                k,
-                jobs=jobs,
-                raise_on_violation=False,
-                invert_conjecture=invert_predicate,
-            )
+            minimal: list[str] = []
+            result = survey(catalog, k, jobs=jobs, raise_on_violation=False, on_minimal=minimal.append)
             found.extend(result.counterexamples)
+            if invert_predicate:
+                for line in minimal:
+                    verdict = check_conjecture(parse_graph6(line), k, verified=True)
+                    if verdict.passed:
+                        found.append((line, verdict.theorem))
     return found

@@ -169,6 +169,18 @@ def test_gen_out_of_range_leaves_out_file_alone(tmp_path: Path, capsys, n):
     assert path.read_bytes() == b"C~\nCr\n"
 
 
+@pytest.mark.parametrize("argv", [["gen", "4", "--out", "o.g6"],
+                                  ["survey", "--gen", "5", "--k", "1", "--jobs", "1", "--jsonl", "r.jsonl"]],
+                         ids=["gen", "survey"])
+def test_unwritable_output_path_exits_2(tmp_path: Path, capsys, argv):
+    missing = tmp_path / "missing"
+    argv = argv[:-1] + [str(missing / argv[-1])]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not missing.exists()
+
+
 # sha256 of the stdout of `witness --all --json` for every edge in order,
 # concatenated, and of `predicates --json`; recorded before the witness
 # search tested vertex masks instead of building G - S.

@@ -14,6 +14,7 @@ from factorcrit import (
     Graph,
     LimitExceeded,
     Matching,
+    PerfectMatcher,
     PreconditionUnmet,
     TutteCertificate,
     complete_bipartite,
@@ -190,9 +191,19 @@ def test_duality_and_berge_formula_small(catalog):
             deficiency, witness = max_deficiency(g)
             pm = has_perfect_matching(g)
             assert pm == (deficiency == 0)
+            assert PerfectMatcher(g).pm_exists(g.vertex_mask) == pm
             assert pm == (not tutte_violators(g, "first-minimal"))
             assert pm == (len(enumerate_perfect_matchings(g, limit=1).matchings) > 0)
             assert len(maximum_matching(g).edges) == (g.n - deficiency) // 2
+
+
+@pytest.mark.parametrize("sides", [(17, 19), (29, 31)])
+def test_whole_graph_matching_decisions_are_polynomial(sides):
+    g = complete_bipartite(*sides)
+    started = time.monotonic()
+    assert not has_perfect_matching(g)
+    assert not forced_edge(g, (0, sides[0]))
+    assert time.monotonic() - started <= 2.0
 
 
 def _assert_barrier_attains_the_deficiency(g: Graph) -> None:

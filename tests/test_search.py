@@ -9,6 +9,7 @@ import math
 import random
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -485,19 +486,54 @@ def test_survey_resume_rejects_wrong_prefix(tmp_path: Path, catalog):
         survey(cat, 1, jsonl_path=str(path), skip=30)
 
 
-def test_survey_counterexample_entries_reparse(catalog):
-    cat = Catalog.from_graphs(6, catalog(6))
-    report = survey(cat, 4, raise_on_violation=False, invert_conjecture=True)
-    assert report.counterexamples
-    for graph6, theorem in report.counterexamples:
+def test_survey_counterexample_entries_reparse():
+    from factorcrit import check_conjecture
+
+    planted = hunt_counterexamples([6], k_rule=2, invert_predicate=True)
+    assert planted
+    for graph6, theorem in planted:
         g = parse_graph6(graph6)
         assert g.n == 6
         # the planted failure names the minimum-degree statement and the graph
-        # genuinely satisfies it, proving the inversion produced the entry
+        # genuinely satisfies it, proving the self-test produced the entry
         assert theorem == "C1.2"
-        from factorcrit import check_conjecture
-
         assert check_conjecture(g, 4).passed
+
+
+# The planted failures of `hunt --self-test` at orders 3-8 per offset c
+# (k = n - c), all of C1.2, recorded while the survey still inverted the
+# minimum-degree verdict itself.
+SELF_TEST_PLANTS = {
+    2: [
+        "Bw", "C~", "D~{", "E~~w", "F~~~w", "G~~~~{",
+    ],
+    4: [
+        "DK{", "DLo", "EK~o", "ELrw", "ELv_", "FK~vg", "FLr~o", "FLvfw", "FLvn_",
+        "GK~vno", "GLr~vs", "GLvf~w", "GLvnf{", "GLvnno",
+    ],
+    6: [
+        "F@QFw", "F@QuW", "F@QN_", "F@Q^?", "F@Ue?", "G@QF~w", "G@QuvO", "G@Qu^o",
+        "G@QNfw", "G@QNno", "G@Q^Fo", "G@Q^V_", "G@rNf_", "G@UeF{", "G@UefW", "G@UevG",
+        "G@UeNo", "G@UenO", "G@Ue^_", "G@UuV?", "G@Umf?", "G@U^FG", "G@U^FC", "G@]uEc",
+        "G@]uE[", "G@]uMO",
+    ],
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_hunt_self_test_plants_are_pinned(tmp_path: Path, catalog, jobs):
+    files = {}  # the generated catalogs, ingested rather than generated once per call
+    for n in range(3, 9):
+        files[n] = str(tmp_path / f"order{n}.g6")
+        Path(files[n]).write_text("".join(encode_graph6(g) + "\n" for g in catalog(n)))
+    expected = {c: [(line, "C1.2") for line in lines] for c, lines in SELF_TEST_PLANTS.items()}
+    for c, plants in expected.items():
+        assert hunt_counterexamples(range(3, 9), k_rule=c, files=files, jobs=jobs,
+                                    invert_predicate=True) == plants
+    # all valid k per order, ascending: offsets 6, 4 and 2 in turn
+    by_order = [(line, theorem) for n in range(3, 9) for c in (6, 4, 2)
+                for line, theorem in expected[c] if parse_graph6(line).n == n]
+    assert hunt_counterexamples(range(3, 9), files=files, jobs=jobs, invert_predicate=True) == by_order
 
 
 def test_statement_table_covers_every_reported_id(catalog):
@@ -513,10 +549,9 @@ def test_statement_table_covers_every_reported_id(catalog):
     cases += [(encode_graph6(cycle_graph(9)), 1), (encode_graph6(cycle_graph(11)), 1)]
     reported = {CONFIG_COMPLETENESS, CONFIG_PREDICATES}
     for line, k in cases:
-        for invert in (False, True):
-            record = search._survey_record(line, parse_graph6(line), k, invert)
-            reported.update(verdict["theorem"] for verdict in record.get("verdicts", ()))
-            reported.update(record.get("failures", ()))
+        record = search._survey_record(line, parse_graph6(line), k)
+        reported.update(verdict["theorem"] for verdict in record.get("verdicts", ()))
+        reported.update(record.get("failures", ()))
     assert {"T4.1", "Conj1.3", "L2.5"} <= reported
     assert reported <= set(STATEMENTS)
     assert set(STATEMENTS.values()) == {"proven", "open"}
@@ -528,6 +563,35 @@ def test_hunt_examples():
     assert hunt_counterexamples([6], k_rule=2) == []  # k = n - 2 = 4
     planted = hunt_counterexamples([6], k_rule=2, invert_predicate=True)
     assert planted and planted[0][0] == "E~~w"
+
+
+def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):
+    requested: list[int] = []
+
+    class Pool:  # runs the chunks in this process, recording the worker count
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def imap(self, func, items):
+            return map(func, items)
+
+    fork = SimpleNamespace(Pool=Pool)
+    monkeypatch.setattr(search, "multiprocessing", SimpleNamespace(get_context=lambda method: fork))
+    cat = enumerate_catalog(7)
+    expected = survey(cat, 3).to_json()
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    assert survey(cat, 3, jobs=5000).to_json() == expected
+    assert survey(cat, 3, jobs=2).to_json() == expected
+    assert requested == [3, 2]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)  # unknown: in process
+    assert survey(cat, 3, jobs=5000).to_json() == expected
+    assert requested == [3, 2]
 
 
 def test_catalog_rejects_mixed_orders(catalog):
