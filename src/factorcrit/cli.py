@@ -12,6 +12,7 @@ has been processed, so an error exits without partial output.
 Exit codes: 0 when the queried property holds (or a sweep is clean), 1 when
 it fails or a counterexample surfaced, 2 on usage or parse errors and on
 files that cannot be opened, 3 when an expected-true check was violated.
+When the reader of stdout goes away, the process ends by SIGPIPE.
 Text output is human-oriented and not a stable interface; pass --json for
 the versioned machine format.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import Iterable
 
@@ -389,6 +391,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """Run ``main`` as a process: a closed stdout ends it by SIGPIPE, where
+    the platform has one, instead of as an output error."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -30,7 +30,9 @@ class OrderTooSmall(FactorCritError):
 
 
 class LimitExceeded(FactorCritError):
-    """A strict enumeration was truncated before completing."""
+    """A strict enumeration was truncated before completing, or an
+    exponential search was refused above its order gate (``tutte_violators``
+    above ``VIOLATOR_MAX_ORDER``)."""
 
 
 class ParityMismatch(FactorCritError):

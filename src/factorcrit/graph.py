@@ -391,13 +391,17 @@ def parse_graph6(text: str | bytes) -> Graph:
     pad = 6 * (len(codes) - 1) - nbits
     if pad and bitstream & ((1 << pad) - 1):
         raise MalformedEncoding("nonzero padding bits in graph6 string")
-    bitstream >>= pad
-    # Columns are stored j = 1..n-1, so the last one sits in the low bits.
-    # Cell (i, j) is bit j-1-i of column j.
+    return Graph._trusted(n, _rows_from_columns(n, bitstream >> pad))
+
+
+def _rows_from_columns(n: int, bits: int) -> tuple[int, ...]:
+    """The adjacency rows of the order-``n`` graph whose upper triangle
+    ``bits`` holds column by column, j = 1..n-1, so that the last column
+    sits in the low bits.  Cell (i, j) is bit j-1-i of column j."""
     rows = [0] * n
     for j in range(n - 1, 0, -1):
-        col = bitstream & ((1 << j) - 1)
-        bitstream >>= j
+        col = bits & ((1 << j) - 1)
+        bits >>= j
         j_bit = 1 << j
         lower = 0
         while col:
@@ -407,7 +411,7 @@ def parse_graph6(text: str | bytes) -> Graph:
             rows[i] |= j_bit
             col ^= low
         rows[j] |= lower
-    return Graph._trusted(n, tuple(rows))
+    return tuple(rows)
 
 
 # Named constructions used throughout the test corpus and the CLI docs.

@@ -69,7 +69,7 @@ import multiprocessing
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     FactorCritError,
@@ -82,7 +82,7 @@ from .errors import (
     ResumeMismatch,
     TheoremViolated,
 )
-from .graph import Graph, degree_profile, encode_graph6, parse_graph6
+from .graph import GRAPH6_HEADER, Graph, _rows_from_columns, degree_profile, encode_graph6, parse_graph6
 from .criticality import kfc_and_minimal
 # Also a module attribute here: the perfbench harness reads and traces the
 # k-factor-critical test as factorcrit.search.is_k_factor_critical.
@@ -110,7 +110,7 @@ SCHEMA = 1
 
 # A graph of the previous generation level as its rows, with the non-identity
 # generators of its automorphism group as permutation tuples.
-_Parent = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+_Parent = tuple[tuple[int, ...], set[tuple[int, ...]]]
 
 # One encoder for every JSONL record: json.dumps builds a new one per call.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
@@ -143,9 +143,9 @@ def _min_columns(
     so far.  With ``orderly`` it returns None at the first column that comes
     out smaller, and otherwise ``best`` unchanged: the orderly test.  Then
     every leaf it reaches ties the identity and so is an automorphism, and
-    ``autos``, if given, receives each as a tuple of the vertex at each
-    position, plus each twin swap it prunes as the int with the two
-    vertices' bits.  Without ``orderly``, a smaller column replaces the best
+    ``autos``, if given, receives each as a permutation tuple, the vertex at
+    each position, and so does each twin swap it prunes; the identity is
+    among them.  Without ``orderly``, a smaller column replaces the best
     codes from that column on, and every later position takes the smallest
     code it can reach.
 
@@ -220,7 +220,10 @@ def _min_columns(
                 rest ^= other
             if rest:  # a twin of an explored candidate
                 if autos is not None:
-                    autos.add(low | other)
+                    swap = list(range(n))
+                    w = other.bit_length() - 1
+                    swap[v], swap[w] = w, v
+                    autos.add(tuple(swap))
                 continue
             explored |= low
             child = 0  # the new vertex's row over the child's prefix
@@ -240,14 +243,10 @@ def _min_columns(
 def canonical_form(g: Graph) -> Graph:
     """The isomorph of ``g`` with the lexicographically minimal encoding."""
     codes = _min_columns(g.adj, _column_codes(g.adj, g.n), orderly=False)
-    rows = [0] * g.n
+    bits = 0
     for j in range(1, g.n):
-        code = codes[j]
-        for i in range(j):
-            if code >> (j - 1 - i) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._trusted(g.n, tuple(rows))
+        bits = bits << j | codes[j]
+    return Graph._trusted(g.n, _rows_from_columns(g.n, bits))
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -269,9 +268,9 @@ def generate_nonisomorphic(n: int) -> Iterator[Graph]:
     if n == 1:
         yield Graph._trusted(1, (0,))
         return
-    level: list[_Parent] = [((0,), ())]
+    level: list[_Parent] = [((0,), set())]
     for m in range(2, n):
-        level = [(adj, _generators(autos, m)) for adj, autos in _extend_level(level, m)]
+        level = [(adj, autos - {tuple(range(m))}) for adj, autos in _extend_level(level, m)]
     for adj, _autos in _extend_level(level, n, last=True):
         yield Graph._trusted(n, adj)
 
@@ -315,22 +314,6 @@ def _insertion_limits(codes: Sequence[int]) -> list[int]:
     return limits
 
 
-def _generators(autos: set, n: int) -> tuple[tuple[int, ...], ...]:
-    """The non-identity permutations among ``_min_columns``'s automorphisms,
-    with each twin swap written out as a permutation."""
-    identity = tuple(range(n))
-    gens = set()
-    for auto in autos:
-        if isinstance(auto, int):  # the two bits of a twin swap
-            perm = list(identity)
-            a, b = (v for v in identity if auto >> v & 1)
-            perm[a], perm[b] = b, a
-            auto = tuple(perm)
-        gens.add(auto)
-    gens.discard(identity)
-    return tuple(gens)
-
-
 def _subset_images(perm: Sequence[int]) -> list[int]:
     """The image of every vertex subset (a mask) under ``perm``, as a table."""
     images = [0]
@@ -340,7 +323,7 @@ def _subset_images(perm: Sequence[int]) -> list[int]:
     return images
 
 
-def _orbit_leaders(gens: Sequence[Sequence[int]], top: int, reverse: list[int]) -> Iterable[int]:
+def _orbit_leaders(gens: Collection[Sequence[int]], top: int, reverse: list[int]) -> Iterable[int]:
     """One mask per orbit of the group that ``gens`` generate on the subsets
     of vertices 0..top-1, in increasing order: the one whose last-column code
     ``reverse[mask]`` is smallest, the only one whose extension can be
@@ -431,26 +414,14 @@ def _catalog_graph(line: str, n: int) -> Graph:
     return g
 
 
-def read_graph6_lines(
-    path: str, lenient: bool = False
-) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
-    """Parseable (lineno, graph6) entries of a file plus per-line failures.
-
-    Failures abort with the first message unless ``lenient``; then they are
-    returned alongside the good lines.
-    """
-    good, bad = _read_graph6_file(path, lenient)
-    return [(lineno, text) for lineno, text, _g in good], bad
-
-
 def _read_graph6_file(
     path: str, lenient: bool
 ) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str]]]:
-    """``read_graph6_lines`` with each good line's decoded graph kept, so
-    callers that need the graphs parse every line once.
+    """``_parse_graph6_lines`` over the lines of the file at ``path``.
 
     Non-ASCII bytes decode to lone surrogates, which ``parse_graph6``
-    rejects as out of range like any other malformed line."""
+    rejects as out of range like any other malformed line.  A file that
+    cannot be opened or read raises ``FileUnreadable``."""
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
             raw = handle.readlines()
@@ -462,8 +433,15 @@ def _read_graph6_file(
 def _parse_graph6_lines(
     lines: Iterable[str], where: str, lenient: bool
 ) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str]]]:
-    """Decode graph6 lines, skipping blank ones; ``where`` names the source
-    (a path, or stdin) in the ``where:lineno:`` prefix of a fatal error."""
+    """The good lines as (lineno, graph6, graph) entries, counting from 1,
+    plus the bad ones as (lineno, message), skipping blank lines.
+
+    A good line's graph6 text has its whitespace and any ``GRAPH6_HEADER``
+    taken off; a bare header is an empty graph6 string, so a bad line.  A
+    bad line raises ``MalformedEncoding``, prefixed ``where:lineno:`` with
+    ``where`` naming the source (a path, or stdin), unless ``lenient``;
+    then it is returned alongside the good lines.  Each good line is
+    decoded once, and its graph kept for callers that need it."""
     good: list[tuple[int, str, Graph]] = []
     bad: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -477,9 +455,7 @@ def _parse_graph6_lines(
                 raise MalformedEncoding(f"{where}:{lineno}: {exc}") from exc
             bad.append((lineno, str(exc)))
             continue
-        if text.startswith(">>graph6<<"):
-            text = text[len(">>graph6<<"):]
-        good.append((lineno, text, g))
+        good.append((lineno, text.removeprefix(GRAPH6_HEADER), g))
     return good, bad
 
 

@@ -3,6 +3,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -260,6 +263,14 @@ def test_stdin_and_file_read_lines_alike(tmp_path: Path, capsys, command, lenien
         assert via_stdin[2] == "error: stdin:2: byte out of graph6 range in 'garbage!!'\n"
 
 
+def test_stdin_graph6_header_lines(capsys):
+    """Headed lines are read on stdin; a bare header is an empty graph6 string."""
+    lines = ">>graph6<<A_\n\n  A_  \n>>graph6<<\n"
+    assert run_cli(["pm", "--json"], stdin=lines, capsys=capsys) == (2, "", "error: stdin:4: empty graph6 string\n")
+    code, out, _ = run_cli(["pm", "--json", "--lenient"], stdin=lines, capsys=capsys)
+    assert code == 0 and [r["graph6"] for r in json.loads(out)["results"]] == ["A_", "A_"]
+
+
 def test_lenient_file_parsing(tmp_path: Path, capsys):
     path = tmp_path / "bad.g6"
     path.write_text("A_\ngarbage!!\n", encoding="ascii")
@@ -433,3 +444,20 @@ def test_verify_notes_when_no_checker_applies(capsys):
     for argv in (["verify", "GhCKN{"], ["verify", "--k", "1", c5]):
         code, out, err = run_cli(argv, capsys=capsys)
         assert code == 0 and out and err == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_quietly_by_sigpipe():
+    """``gen 8`` writes about 86 KB, more than a pipe holds, so a write
+    fails once the reader has closed its end; the process then ends by
+    SIGPIPE, with nothing on stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "factorcrit.cli", "gen", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert stderr == b""

@@ -39,7 +39,6 @@ from factorcrit import (
     valid_k_values,
 )
 from factorcrit import search
-from factorcrit.search import read_graph6_lines
 from goldens import GENERATION_GOLDEN
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -161,9 +160,9 @@ def test_orderly_tests_per_level(monkeypatch):
 def _parents(m: int) -> list:
     """The parents of generation level m: the graphs of order m-1 with their
     automorphism generators."""
-    level = [((0,), ())]
+    level = [((0,), set())]
     for k in range(2, m):
-        level = [(adj, search._generators(autos, k)) for adj, autos in search._extend_level(level, k)]
+        level = [(adj, autos - {tuple(range(k))}) for adj, autos in search._extend_level(level, k)]
     return level
 
 
@@ -212,6 +211,20 @@ def test_generation_matches_golden_hashes_to_order_8():
         assert hashlib.sha256(payload).hexdigest() == GENERATION_GOLDEN[n], n
 
 
+@pytest.mark.parametrize("m", range(3, 9))
+def test_parent_generators_are_automorphisms(m):
+    """Every generator kept for a parent of level m, leaf or twin swap, is
+    a non-identity permutation tuple of the parent's vertices that maps its
+    edges onto its edges."""
+    top = m - 1
+    identity = tuple(range(top))
+    for parent, gens in _parents(m):
+        for perm in gens:
+            assert isinstance(perm, tuple) and sorted(perm) == list(identity) and perm != identity
+            assert all(parent[perm[v]] == sum(1 << perm[u] for u in range(top) if parent[v] >> u & 1)
+                       for v in range(top))
+
+
 def test_orbit_filter_skips_only_rejected_extensions():
     level = _parents(7)
     assert len(level) == KNOWN_COUNTS[6]
@@ -219,9 +232,6 @@ def test_orbit_filter_skips_only_rejected_extensions():
     reverse = search._subset_images(range(top - 1, -1, -1))
     skipped = 0
     for parent, gens in level:
-        for perm in gens:
-            assert all(parent[perm[v]] == sum(1 << perm[u] for u in range(top) if parent[v] >> u & 1)
-                       for v in range(top))
         leaders = set(search._orbit_leaders(gens, top, reverse))
         for mask in set(range(1 << top)) - leaders:
             skipped += 1
@@ -331,11 +341,26 @@ def test_catalog_ingest_non_ascii_line(tmp_path: Path):
     with pytest.raises(MalformedEncoding, match=r"accented\.g6:2: byte out of graph6 range"):
         enumerate_catalog(2, path=str(path))
     with pytest.raises(MalformedEncoding, match=r"accented\.g6:2:"):
-        read_graph6_lines(str(path))
+        search._read_graph6_file(str(path), lenient=False)
     assert enumerate_catalog(2, path=str(path), lenient=True).graph6_lines == ("A_",)
-    good, bad = read_graph6_lines(str(path), lenient=True)
-    assert good == [(1, "A_")]
+    good, bad = search._read_graph6_file(str(path), lenient=True)
+    assert [(lineno, text) for lineno, text, _g in good] == [(1, "A_")]
     assert [lineno for lineno, _message in bad] == [2]
+
+
+def test_catalog_ingest_graph6_header(tmp_path: Path):
+    """A header is taken off a line's text, a bare header is an empty
+    graph6 string, and a header followed by whitespace stays malformed."""
+    path = tmp_path / "header.g6"
+    path.write_text(">>graph6<<A_\n\n  A_  \n>>graph6<<\n", encoding="ascii")
+    with pytest.raises(MalformedEncoding, match=r"header\.g6:4: empty graph6 string$"):
+        enumerate_catalog(2, path=str(path))
+    assert enumerate_catalog(2, path=str(path), lenient=True).graph6_lines == ("A_", "A_")
+    good, bad = search._read_graph6_file(str(path), lenient=True)
+    assert [(lineno, text) for lineno, text, _g in good] == [(1, "A_"), (3, "A_")]
+    assert [lineno for lineno, _message in bad] == [4]
+    path.write_text(">>graph6<< A_\n", encoding="ascii")
+    assert search._read_graph6_file(str(path), lenient=True)[0] == []
 
 
 def test_catalog_ingest_canonical_dedup(tmp_path: Path):
