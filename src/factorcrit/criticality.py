@@ -17,8 +17,17 @@ the edges of a certificate.
 The same search decides minimality.  Let G be k-factor-critical.  A k-set S
 containing u or v leaves (G - e) - S = G - S, which has a perfect matching,
 so G - e is k-factor-critical exactly when no k-set avoiding u and v is a
-witness for e.  ``kfc_and_minimal`` therefore tests only the C(n-2, k)
-k-sets that avoid e, against the matcher its k-factor-critical test filled.
+witness for e.  Above ``TABLE_MAX_ORDER``, ``kfc_and_minimal`` therefore
+tests only the C(n-2, k) k-sets that avoid e, against the matcher its
+k-factor-critical test filled.
+
+Up to ``TABLE_MAX_ORDER`` it reads both answers off the table T of
+``matching.matchable_sets`` instead, with c = n - k.  G is k-factor-critical
+iff T holds every c-set, ``T & of_size[c] == of_size[c]``.  The c-sets M
+holding u and v in which u has a perfect matching with another neighbour w
+are ``(T & without[u] & without[w]) << (2^u + 2^w)``, so e = uv has a
+witness iff some c-set holding u and v lies in none of them.  The witnesses
+themselves, lexicographically first, still come from the matcher.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .graph import (
     iter_bits,
     mask_from,
 )
-from .matching import PerfectMatcher
+from .matching import TABLE_MAX_ORDER, PerfectMatcher, matchable_sets, subset_masks
 
 METHOD_DEFINITIONAL = "definitional"
 
@@ -126,22 +135,57 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     k-factor-critical, and G - uv is not when u or v has degree k+1, which
     makes uv essential without a test.  A valid k has k < n and the parity
     of n, so n - k >= 2 always holds here.  Every other edge is essential
-    exactly when it has a witness set (see the module docstring).
+    exactly when it has a witness set (see the module docstring), read off
+    the table of matchable sets up to ``TABLE_MAX_ORDER`` and searched for
+    with one memoized matcher above it.
     """
     _validate_k(g, k)
     degrees = g.degrees()
     if min(degrees) <= k:
         return False, False
-    matcher = PerfectMatcher(g)
-    if not is_k_factor_critical(g, k, matcher).verdict:
-        return False, False
+    if g.n <= TABLE_MAX_ORDER:
+        table = matchable_sets(g)
+        without, of_size = subset_masks(g.n)
+        c_sets = of_size[g.n - k]
+        if table & c_sets != c_sets:
+            return False, False
+
+        def essential(u: int, v: int) -> bool:
+            return _has_table_witness(g, table, c_sets, without, u, v)
+    else:
+        matcher = PerfectMatcher(g)
+        if not is_k_factor_critical(g, k, matcher).verdict:
+            return False, False
+
+        def essential(u: int, v: int) -> bool:
+            return next(_edge_witnesses(g, k, (u, v), matcher), None) is not None
     tight = k + 1
-    for u, v in g.edges():
-        if degrees[u] == tight or degrees[v] == tight:
+    for u in range(g.n):
+        if degrees[u] == tight:
             continue
-        if next(_edge_witnesses(g, k, (u, v), matcher), None) is None:
-            return True, False
+        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
+            if degrees[v] != tight and not essential(u, v):
+                return True, False
     return True, True
+
+
+def _has_table_witness(
+    g: Graph, table: int, c_sets: int, without: tuple[int, ...], u: int, v: int
+) -> bool:
+    """Whether edge uv of a k-factor-critical g has a witness set, from g's
+    table of matchable sets and the bitset of its (n - k)-vertex masks.
+
+    A c-set M holding u and v is G - S for a witness S exactly when no
+    perfect matching of G[M] pairs u with a neighbour w != v, that is when
+    M is not in ``(T & without[u] & without[w]) << (2^u + 2^w)`` for any w.
+    """
+    forced = c_sets & ~without[u] & ~without[v]
+    avoid_u = table & without[u]
+    for w in iter_bits(g.adj[u] & ~(1 << v)):
+        forced &= ~((avoid_u & without[w]) << ((1 << u) | (1 << w)))
+        if not forced:
+            return False
+    return True
 
 
 def is_minimally_kfc(g: Graph, k: int) -> bool:

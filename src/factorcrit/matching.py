@@ -6,12 +6,23 @@ contraction; the test suite checks it against the brute-force oracle in
 perfect matching.  Sweeps that probe many induced subgraphs of the same graph
 go through ``PerfectMatcher``, a memoized recursion over vertex subsets, so
 that they share work.
+
+Up to order ``TABLE_MAX_ORDER``, ``matchable_sets`` answers every such probe
+at once: it builds the 2^n-bit integer T whose bit M is set exactly when the
+induced subgraph on vertex mask M has a perfect matching.  The lowest vertex
+v of a matchable set is matched to a higher neighbour w, and the rest of the
+set is a matchable set above v that avoids w.  So, with T holding the
+matchable sets of the vertices above v, each edge vw with w > v adds
+``(T & without[w]) << (2^v + 2^w)``: one AND, one shift and one OR per edge.
+``subset_masks`` supplies ``without[w]`` (the masks that avoid w) and
+``of_size[c]`` (the masks of c vertices), built per order on first use.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -34,6 +45,12 @@ ALL_MODE_MAX_ORDER = 16
 # Largest order for the exhaustive search of ``tutte_violators``; above it,
 # ``gallai_edmonds_barrier`` gives a barrier in polynomial time.
 VIOLATOR_MAX_ORDER = 19
+# Largest order for ``matchable_sets``, whose table has 2^n bits.  On graphs
+# of edge density 0.8 (one CPU, Python 3.11) the table takes 0.09 ms at order
+# 14, against 0.20 ms for ``PerfectMatcher`` to test 2-factor-criticality;
+# at order 16 it takes 0.44 ms against 0.22 ms, and each order beyond
+# doubles it.
+TABLE_MAX_ORDER = 14
 
 
 @dataclass(frozen=True)
@@ -130,6 +147,47 @@ class PerfectMatcher:
                 break
         memo[mask] = found
         return found
+
+
+@cache
+def subset_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitsets ``(without, of_size)`` indexed by the 2^n vertex masks M of
+    order ``n``: bit M of ``without[w]`` is set iff w is not in M, and bit M
+    of ``of_size[c]`` iff M has c vertices.  Built by doubling on first use
+    and cached; orders above ``TABLE_MAX_ORDER`` raise ``LimitExceeded``."""
+    if not 0 <= n <= TABLE_MAX_ORDER:
+        raise LimitExceeded(f"subset tables are restricted to order 0..{TABLE_MAX_ORDER}")
+    width = 1 << n
+    without = []
+    for w in range(n):
+        row, period = (1 << (1 << w)) - 1, 2 << w
+        while period < width:
+            row |= row << period
+            period <<= 1
+        without.append(row)
+    # S(m+1, c) = S(m, c) | S(m, c-1) << 2^m: a set of vertices 0..m either
+    # avoids m or is a set of 0..m-1 with m added.
+    of_size = [1]
+    for m in range(n):
+        of_size = [
+            (of_size[c] if c <= m else 0) | (of_size[c - 1] << (1 << m) if c else 0)
+            for c in range(m + 2)
+        ]
+    return tuple(without), tuple(of_size)
+
+
+def matchable_sets(g: Graph) -> int:
+    """The 2^n-bit table T of ``g``: bit M is set iff G[M] has a perfect
+    matching, the empty mask included.  Orders above ``TABLE_MAX_ORDER``
+    raise ``LimitExceeded``; ``PerfectMatcher`` decides single masks at any
+    order."""
+    without = subset_masks(g.n)[0]
+    table = 1
+    for v in range(g.n - 1, -1, -1):
+        above = table
+        for w in iter_bits(g.adj[v] >> (v + 1) << (v + 1)):
+            table |= (above & without[w]) << ((1 << v) | (1 << w))
+    return table
 
 
 def has_perfect_matching(g: Graph) -> bool:

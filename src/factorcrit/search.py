@@ -617,6 +617,8 @@ def survey(
     CPU count.
     """
     n = catalog.n
+    if n < 3:
+        raise KOutOfRange(f"order {n} has no valid k (surveys need 1 <= k <= n-2)")
     if not 1 <= k <= n - 2:
         raise KOutOfRange(f"k={k} outside 1..{n - 2}")
     if (n - k) % 2:

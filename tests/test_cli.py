@@ -134,6 +134,17 @@ def test_survey_usage_errors(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("order, k, message", [
+    ("1", "1", "order 1 has no valid k (surveys need 1 <= k <= n-2)"),
+    ("2", "0", "order 2 has no valid k (surveys need 1 <= k <= n-2)"),
+    ("6", "6", "k=6 outside 1..4"),
+])
+def test_survey_k_out_of_range_exits_2(capsys, order, k, message):
+    code, out, err = run_cli(["survey", "--gen", order, "--k", k, "--jobs", "1"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_survey_resume_mismatch_exits_2(tmp_path: Path, capsys):
     path = tmp_path / "records.jsonl"
     argv = ["survey", "--gen", "5", "--k", "1", "--jobs", "1", "--jsonl", str(path)]

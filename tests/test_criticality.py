@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from factorcrit import (
     EdgeAbsent,
     Graph,
     KOutOfRange,
+    LimitExceeded,
     NotCritical,
     NotMinimallyCritical,
     ParityMismatch,
@@ -32,12 +34,25 @@ from factorcrit import (
     star_graph,
     wheel_graph,
 )
-from factorcrit.criticality import kfc_and_minimal
+from factorcrit.criticality import _has_table_witness, kfc_and_minimal
 from factorcrit.graph import bits_list
+from factorcrit.matching import TABLE_MAX_ORDER, matchable_sets, subset_masks
 
 
 def _valid_ks(n: int, start: int = 0) -> list[int]:
     return [k for k in range(start, n - 1) if (n - k) % 2 == 0]
+
+
+def _definitional_kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
+    """The ungated reference: the definitional test on G and on every G - e."""
+    kfc = is_k_factor_critical(g, k).verdict
+    return kfc, kfc and not any(
+        is_k_factor_critical(remove_edge(g, u, v), k).verdict for u, v in g.edges()
+    )
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 
 
 def test_definitional_examples():
@@ -97,11 +112,7 @@ def test_degree_gated_minimality_matches_definitional_to_order_7(catalog):
     for n in range(2, 8):
         for g in catalog(n):
             for k in _valid_ks(n):
-                kfc = is_k_factor_critical(g, k).verdict
-                minimal = kfc and not any(
-                    is_k_factor_critical(remove_edge(g, u, v), k).verdict
-                    for u, v in g.edges()
-                )
+                kfc, minimal = _definitional_kfc_and_minimal(g, k)
                 assert kfc_and_minimal(g, k) == (kfc, minimal), (g.edges(), k)
                 assert is_minimally_kfc(g, k) == minimal
                 cases += 1
@@ -253,12 +264,67 @@ def test_edge_witness_shortcut_matches_definitional_order_8(catalog):
     for k, counts in {2: (2190, 21), 4: (35, 5), 6: (1, 1)}.items():
         kfc_count = minimal_count = 0
         for g in catalog(8):
-            kfc = is_k_factor_critical(g, k).verdict
-            minimal = kfc and not any(
-                is_k_factor_critical(remove_edge(g, u, v), k).verdict
-                for u, v in g.edges()
-            )
+            kfc, minimal = _definitional_kfc_and_minimal(g, k)
             assert kfc_and_minimal(g, k) == (kfc, minimal), (g.edges(), k)
             kfc_count += kfc
             minimal_count += minimal
         assert (kfc_count, minimal_count) == counts, k
+
+
+def test_table_path_at_k0_matches_definitional():
+    # At k = 0 the only c-set is the whole vertex set: G is 0-factor-critical
+    # iff it has a perfect matching, and minimal iff every edge is forced,
+    # which makes G a perfect matching.  In the path 2-3-0-1-4-5-...-13, edge
+    # 01 has both ends of degree 2 and is forced, so the table decides it.
+    n = TABLE_MAX_ORDER
+    order = [2, 3, 0, 1] + list(range(4, n))
+    graphs = [
+        Graph.from_edges(n, [(v, v + 1) for v in range(0, n, 2)]),
+        Graph.from_edges(n, list(zip(order, order[1:]))),
+        cycle_graph(n),
+    ]
+    rng = random.Random(20261019)
+    graphs += [_random_graph(rng, m, p) for m in range(8, n + 1, 2) for p in (0.2, 0.3, 0.5)]
+    verdicts = set()
+    for g in graphs:
+        expected = _definitional_kfc_and_minimal(g, 0)
+        assert kfc_and_minimal(g, 0) == expected, g.edges()
+        verdicts.add(expected)
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_table_witness_per_edge_matches_definitional():
+    # Every edge, not only up to the first removable one: e has a witness
+    # on the table iff G - e is not k-factor-critical.
+    rng = random.Random(20261019)
+    tested = []
+    for n in range(9, TABLE_MAX_ORDER + 1):
+        without, of_size = subset_masks(n)
+        for k, p in itertools.product(_valid_ks(n, start=1), (0.5, 0.65, 0.8)):
+            g = _random_graph(rng, n, p)
+            if not is_k_factor_critical(g, k).verdict:
+                continue
+            table = matchable_sets(g)
+            for u, v in g.edges():
+                essential = _has_table_witness(g, table, of_size[n - k], without, u, v)
+                removable = is_k_factor_critical(remove_edge(g, u, v), k).verdict
+                assert essential == (not removable), (g.edges(), k, u, v)
+                tested.append(essential)
+    assert len(tested) > 1000 and sum(tested) > 20, (len(tested), sum(tested))
+
+
+@pytest.mark.parametrize("n", [TABLE_MAX_ORDER + 1, TABLE_MAX_ORDER + 2])
+def test_memo_fallback_above_the_table_cap_matches_definitional(n):
+    # Above the cap there is no table (it would raise), so these verdicts
+    # come from the memoized matcher's witness search.
+    with pytest.raises(LimitExceeded):
+        matchable_sets(complete_graph(n))
+    rng = random.Random(n)
+    cases = [(complete_graph(n), n - 2), (complete_graph(n), n - 4), (wheel_graph(n - 1), n % 2 + 2)]
+    cases += [(_random_graph(rng, n, 0.7), k) for k in (n - 6, n - 8) for _ in range(2)]
+    verdicts = set()
+    for g, k in cases:
+        expected = _definitional_kfc_and_minimal(g, k)
+        assert kfc_and_minimal(g, k) == expected, (g.edges(), k)
+        verdicts.add(expected)
+    assert verdicts >= {(True, False), (True, True)}

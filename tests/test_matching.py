@@ -34,7 +34,12 @@ from factorcrit import (
     wheel_graph,
 )
 from factorcrit.graph import _odd_component_count, bits_list
-from factorcrit.matching import VIOLATOR_MAX_ORDER
+from factorcrit.matching import (
+    TABLE_MAX_ORDER,
+    VIOLATOR_MAX_ORDER,
+    matchable_sets,
+    subset_masks,
+)
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -149,6 +154,48 @@ def test_forced_edge_iff_in_every_enumerated_matching():
         for e in g.edges():
             in_all = all(e in m.edges for m in pms)
             assert forced_edge(g, e) == in_all
+
+
+def _assert_table_matches_matcher(g: Graph) -> None:
+    table = matchable_sets(g)
+    matcher = PerfectMatcher(g)
+    assert table >> (1 << g.n) == 0
+    for mask in range(1 << g.n):
+        assert (table >> mask & 1) == matcher.pm_exists(mask), (g.edges(), bits_list(mask))
+
+
+def test_matchable_sets_equal_pm_exists_to_order_7(catalog):
+    for n in range(1, 8):
+        for g in catalog(n):
+            _assert_table_matches_matcher(g)
+
+
+@pytest.mark.parametrize("n", range(8, TABLE_MAX_ORDER + 1))
+def test_matchable_sets_equal_pm_exists_on_randoms(n):
+    rng = random.Random(1000 + n)
+    for p in (0.25, 0.5, 0.8):
+        _assert_table_matches_matcher(_random_graph(rng, n, p))
+    _assert_table_matches_matcher(complete_graph(n))
+
+
+def test_subset_masks_match_their_definitions():
+    for n in range(TABLE_MAX_ORDER + 1):
+        without, of_size = subset_masks(n)
+        every = range(1 << n)
+        assert without == tuple(
+            sum(1 << m for m in every if not m >> w & 1) for w in range(n)
+        )
+        assert of_size == tuple(
+            sum(1 << m for m in every if m.bit_count() == c) for c in range(n + 1)
+        )
+
+
+def test_matchable_sets_order_gate():
+    g = complete_graph(TABLE_MAX_ORDER + 1)
+    with pytest.raises(LimitExceeded):
+        matchable_sets(g)
+    with pytest.raises(LimitExceeded):
+        subset_masks(TABLE_MAX_ORDER + 1)
 
 
 def test_tutte_violators_examples():
