@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import (
     EdgeAbsent,
@@ -126,12 +126,19 @@ def is_k_factor_critical(
     return CriticalityReport(k, True, None, METHOD_DEFINITIONAL)
 
 
+def fails_degree_gate(adj: Sequence[int], k: int) -> bool:
+    """Whether the graph with rows ``adj`` has a vertex of degree at most k,
+    which a k-factor-critical graph of order at least k + 2 never has
+    (Favaron; Yu): it is (k+1)-edge-connected.  ``adj`` must be non-empty."""
+    return min(map(int.bit_count, adj)) <= k
+
+
 def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     """Whether g is k-factor-critical, and whether it is minimally so.
 
     Favaron's necessary condition settles what it can before any matching
     work: a k-factor-critical graph with n - k >= 2 has minimum degree at
-    least k+1.  So a graph with a vertex of degree at most k is not
+    least k+1.  So a graph that ``fails_degree_gate`` is not
     k-factor-critical, and G - uv is not when u or v has degree k+1, which
     makes uv essential without a test.  A valid k has k < n and the parity
     of n, so n - k >= 2 always holds here.  Every other edge is essential
@@ -140,9 +147,9 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     with one memoized matcher above it.
     """
     _validate_k(g, k)
-    degrees = g.degrees()
-    if min(degrees) <= k:
+    if fails_degree_gate(g.adj, k):
         return False, False
+    degrees = g.degrees()
     if g.n <= TABLE_MAX_ORDER:
         table = matchable_sets(g)
         without, of_size = subset_masks(g.n)

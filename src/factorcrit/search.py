@@ -69,6 +69,7 @@ import multiprocessing
 import os
 from array import array
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -83,7 +84,7 @@ from .errors import (
     TheoremViolated,
 )
 from .graph import GRAPH6_HEADER, Graph, _rows_from_columns, degree_profile, encode_graph6, parse_graph6
-from .criticality import kfc_and_minimal
+from .criticality import fails_degree_gate, kfc_and_minimal
 # Also a module attribute here: the perfbench harness reads and traces the
 # k-factor-critical test as factorcrit.search.is_k_factor_critical.
 from .criticality import is_k_factor_critical  # noqa: F401
@@ -114,6 +115,9 @@ _Parent = tuple[tuple[int, ...], set[tuple[int, ...]]]
 
 # One encoder for every JSONL record: json.dumps builds a new one per call.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+# A short record's line without the encoder, whose encode builds a new C
+# encoder per call: that took most of a degree-gated record's time.
+_SHORT_LINE = '{"graph6": %s, "kfc": %s, "minimal": false}\n'
 
 
 def _column_codes(adj: Sequence[int], n: int) -> list[int]:
@@ -374,25 +378,27 @@ class Catalog:
         return len(self.graph6_lines)
 
     def __iter__(self) -> Iterator[Graph]:
-        return self._graphs(0)
+        n = self.n
+        return (Graph._trusted(n, adj) for adj in self._adjacencies(0))
 
-    def _graphs(self, skip: int) -> Iterator[Graph]:
-        """The graphs after the first ``skip``, rebuilt from the kept rows
-        when there are any.  The rows of a full pass are kept end to end,
-        ``n`` per graph, in the narrowest array type that holds ``n`` bits,
-        so that they take about the memory of the lines or less."""
+    def _adjacencies(self, skip: int) -> Iterator[tuple[int, ...]]:
+        """The adjacency rows of the graphs after the first ``skip``, sliced
+        from the kept rows when there are any.  The rows of a full pass are
+        kept end to end, ``n`` per graph, in the narrowest array type that
+        holds ``n`` bits, so that they take about the memory of the lines or
+        less."""
         n = self.n
         rows = self.__dict__.get("_rows")
         if rows is not None:
-            for i in range(skip, len(self)):
-                yield Graph._trusted(n, tuple(rows[i * n:(i + 1) * n]))
+            for i in range(skip * n, len(rows), n):
+                yield tuple(rows[i:i + n])
             return
         rows = None if skip else array(next((c for c in "BHIL" if array(c).itemsize * 8 >= n), "Q"))
         for line in self.graph6_lines[skip:]:
-            g = _catalog_graph(line, n)
+            adj = _catalog_graph(line, n).adj
             if rows is not None:
-                rows.extend(g.adj)
-            yield g
+                rows.extend(adj)
+            yield adj
         if rows is not None:
             self.__dict__["_rows"] = rows  # frozen: bypass the dataclass setter
 
@@ -543,10 +549,15 @@ def _profile_key(profile: dict[int, int]) -> str:
     return ",".join(f"{d}:{c}" for d, c in sorted(profile.items()))
 
 
-def _survey_record(line: str, g: Graph, k: int) -> dict:
-    """Everything the aggregator needs about one catalog graph, ``g`` being
-    the graph that ``line`` encodes."""
+def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
+    """Everything the aggregator needs about one catalog graph, ``adj``
+    being the rows of the graph that ``line`` encodes.  A graph that
+    ``fails_degree_gate`` gets the short record, keyed graph6, kfc and
+    minimal only, without a ``Graph`` built."""
     record: dict = {"graph6": line, "kfc": False, "minimal": False}
+    if fails_degree_gate(adj, k):
+        return record
+    g = Graph._trusted(len(adj), adj)
     try:
         record["kfc"], record["minimal"] = kfc_and_minimal(g, k)
         if not record["minimal"]:
@@ -591,7 +602,7 @@ def _survey_record(line: str, g: Graph, k: int) -> dict:
 
 def _survey_chunk(args: tuple[list[str], int, int]) -> list[dict]:
     lines, n, k = args
-    return [_survey_record(line, _catalog_graph(line, n), k) for line in lines]
+    return [_survey_record(line, _catalog_graph(line, n).adj, k) for line in lines]
 
 
 def survey(
@@ -632,12 +643,22 @@ def survey(
     try:
         for record in _iter_records(catalog, skip, k, jobs):
             if sink is not None:
-                sink.write(_JSONL_ENCODER.encode(record) + "\n")
+                sink.write(_jsonl_line(record))
             _fold_record(report, record, raise_on_violation, on_minimal)
     finally:
         if sink is not None:
             sink.close()
     return report
+
+
+def _jsonl_line(record: dict) -> str:
+    """``_JSONL_ENCODER``'s line for ``record``.  A short record, keyed
+    graph6, kfc and minimal only, is written from ``_SHORT_LINE``: its
+    minimal is false, and its graph6 text, whose bytes 63-126 include a
+    backslash, is escaped as the encoder escapes it."""
+    if len(record) == 3:
+        return _SHORT_LINE % (encode_basestring_ascii(record["graph6"]), "true" if record["kfc"] else "false")
+    return _JSONL_ENCODER.encode(record) + "\n"
 
 
 def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
@@ -670,15 +691,17 @@ def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
 
 def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[dict]:
     """The records of the catalog's graphs after the first ``skip``, in
-    order.  In one process they come from the catalog's own pass, which
-    reuses or keeps its decoded rows; a pool of at most one worker per CPU
-    receives graph6 lines and decodes its own."""
+    order, all from ``_survey_record``.  In one process it gets each graph's
+    rows from the catalog's own pass, which reuses or keeps its decoded
+    rows, so a graph that fails the degree gate costs no ``Graph`` and no
+    matching work; a pool of at most one worker per CPU receives graph6
+    lines and decodes its own."""
     lines = catalog.graph6_lines[skip:]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(lines) < 64:
         # strict: the pass must run to its end, where it keeps the rows
-        for line, g in zip(lines, catalog._graphs(skip), strict=True):
-            yield _survey_record(line, g, k)
+        for line, adj in zip(lines, catalog._adjacencies(skip), strict=True):
+            yield _survey_record(line, adj, k)
         return
     chunk_size = max(32, len(lines) // (jobs * 16))
     chunks = [
@@ -696,7 +719,14 @@ def _fold_record(
     raise_on_violation: bool,
     on_minimal: Callable[[str], None] | None,
 ) -> None:
+    """Add one record to ``report``.  A short record, neither minimal nor an
+    error, counts only towards ``total`` and ``kfc_count``.  A failure of a
+    proven statement raises ``TheoremViolated`` under
+    ``raise_on_violation``."""
     report.total += 1
+    if len(record) == 3:  # graph6, kfc and minimal only
+        report.kfc_count += record["kfc"]
+        return
     line = record["graph6"]
     if "error" in record:
         report.errors.append((line, record["error"]))
@@ -748,7 +778,9 @@ def hunt_counterexamples(
     statement, as (graph6, statement id) pairs.
 
     ``k_rule`` is either "all-valid" or an offset c meaning k = n - c.
-    Orders with a supplied file are ingested, the rest generated.
+    Orders with a supplied file are ingested, the rest generated; an order
+    that the rule gives no valid k is skipped unread.  When no order has
+    one, ``KOutOfRange`` names the orders and the rule.
 
     ``invert_predicate`` is a self-test that failures surface: after each
     k's survey, every minimal graph on which the minimum-degree statement
@@ -757,13 +789,26 @@ def hunt_counterexamples(
     of any statement, the minimum-degree one included, is still reported.
     """
     files = files or {}
-    found: list[tuple[str, str]] = []
-    for n in orders:
-        catalog = enumerate_catalog(n, path=files.get(n))
-        if isinstance(k_rule, int):
-            ks = [n - k_rule] if n - k_rule in valid_k_values(n) else []
+    if isinstance(k_rule, int):
+        sweeps = [(n, [n - k_rule] if n - k_rule in valid_k_values(n) else []) for n in orders]
+        rule = f"k = n - {k_rule}"
+    else:
+        sweeps = [(n, valid_k_values(n)) for n in orders]
+        rule = "all valid k"
+    if not any(ks for _n, ks in sweeps):
+        if isinstance(orders, range) and orders.step == 1:
+            shown = f"{orders.start}..{orders.stop - 1}"
         else:
-            ks = valid_k_values(n)
+            shown = str([n for n, _ks in sweeps])
+        raise KOutOfRange(
+            f"orders {shown} leave nothing to survey under the rule {rule}: "
+            "a valid k has 1 <= k <= n-2 and the parity of n"
+        )
+    found: list[tuple[str, str]] = []
+    for n, ks in sweeps:
+        if not ks:
+            continue
+        catalog = enumerate_catalog(n, path=files.get(n))
         for k in ks:
             minimal: list[str] = []
             result = survey(catalog, k, jobs=jobs, raise_on_violation=False, on_minimal=minimal.append)

@@ -246,6 +246,19 @@ def test_hunt_clean_and_selftest(capsys):
     assert code == 1 and "E~~w" in out
 
 
+@pytest.mark.parametrize(
+    "bounds, shown",
+    [(["--n-from", "7", "--n-to", "5"], "orders 7..5"),
+     (["--n-from", "1", "--n-to", "2"], "orders 1..2"),
+     (["--n-from", "4", "--n-to", "4", "--offset", "3"], "orders 4..4")],
+    ids=["reversed", "orders-1-2", "odd-offset"],
+)
+def test_hunt_with_nothing_to_survey_exits_2(capsys, bounds, shown):
+    code, out, err = run_cli(["hunt", *bounds, "--jobs", "1"], capsys=capsys)
+    assert code == 2 and out == ""
+    assert shown in err and "rule" in err
+
+
 def test_stdin_input(capsys):
     code, out, _ = run_cli(["pm"], stdin="A_\nBw\n", capsys=capsys)
     assert code == 1

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -574,7 +575,7 @@ def test_statement_table_covers_every_reported_id(catalog):
     cases += [(encode_graph6(cycle_graph(9)), 1), (encode_graph6(cycle_graph(11)), 1)]
     reported = {CONFIG_COMPLETENESS, CONFIG_PREDICATES}
     for line, k in cases:
-        record = search._survey_record(line, parse_graph6(line), k)
+        record = search._survey_record(line, parse_graph6(line).adj, k)
         reported.update(verdict["theorem"] for verdict in record.get("verdicts", ()))
         reported.update(record.get("failures", ()))
     assert {"T4.1", "Conj1.3", "L2.5"} <= reported
@@ -588,6 +589,32 @@ def test_hunt_examples():
     assert hunt_counterexamples([6], k_rule=2) == []  # k = n - 2 = 4
     planted = hunt_counterexamples([6], k_rule=2, invert_predicate=True)
     assert planted and planted[0][0] == "E~~w"
+
+
+@pytest.mark.parametrize(
+    "orders, rule, shown",
+    [(range(7, 6), "all-valid", "7..5"), (range(1, 3), "all-valid", "1..2"),
+     (range(4, 5), 3, "4..4"), ([4, 3], 4, "[4, 3]")],
+    ids=["empty-range", "orders-1-2", "odd-offset", "offset-too-large"],
+)
+def test_hunt_with_nothing_to_survey_raises(monkeypatch, orders, rule, shown):
+    monkeypatch.setattr(search, "enumerate_catalog", lambda *a, **kw: pytest.fail("catalog built"))
+    with pytest.raises(KOutOfRange, match=rf"orders {re.escape(shown)} .*rule") as info:
+        hunt_counterexamples(orders, k_rule=rule)
+    assert ("all valid k" if rule == "all-valid" else f"k = n - {rule}") in str(info.value)
+
+
+def test_hunt_builds_no_catalog_for_an_order_without_k(monkeypatch):
+    built: list[int] = []
+    original = search.enumerate_catalog
+
+    def recording(n, path=None):
+        built.append(n)
+        return original(n, path=path)
+
+    monkeypatch.setattr(search, "enumerate_catalog", recording)
+    assert hunt_counterexamples(range(2, 7), k_rule=4) == []  # k = n - 4
+    assert built == [5, 6]
 
 
 def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -695,6 +722,51 @@ def test_catalog_slices_fold_to_the_whole(tmp_path: Path):
                 search._fold_record(folded, json.loads(raw), True, None)
         assert "".join(texts) == whole_path.read_text(encoding="utf-8")
         assert folded.to_json() == whole.to_json()
+
+
+def test_jsonl_line_equals_the_encoder(monkeypatch):
+    encoder = json.JSONEncoder(sort_keys=True)
+    kinds: collections.Counter = collections.Counter()
+    backslashed = 0
+    for n in range(3, 8):
+        cat = enumerate_catalog(n)
+        for k in valid_k_values(n):
+            for record in search._iter_records(cat, 0, k, 1):
+                assert search._jsonl_line(record) == encoder.encode(record) + "\n"
+                kinds[(len(record), record["kfc"], "verdicts" in record, "config" in record)] += 1
+                backslashed += "\\" in record["graph6"]
+    assert kinds[(3, False, False, False)] and kinds[(3, True, False, False)]  # short records
+    assert any(verdicts and config for _size, _kfc, verdicts, config in kinds)  # minimal records
+    assert backslashed  # the escape of graph6 byte 92 is exercised
+
+    def failing(g, k):
+        raise PreconditionUnmet("planted")
+
+    monkeypatch.setattr(search, "kfc_and_minimal", failing)
+    record = search._survey_record("E~~w", parse_graph6("E~~w").adj, 2)
+    assert record["error"] == "planted"
+    assert search._jsonl_line(record) == encoder.encode(record) + "\n"
+
+
+def test_degree_gated_graphs_skip_the_criticality_test(monkeypatch):
+    cat = enumerate_catalog(7)
+    calls: list[str] = []
+    original = search.kfc_and_minimal
+
+    def counting(g, k):
+        calls.append(encode_graph6(g))
+        return original(g, k)
+
+    monkeypatch.setattr(search, "kfc_and_minimal", counting)
+    lines = list(cat.graph6_lines)
+    for k in valid_k_values(7):
+        passing = [line for line, g in zip(lines, cat) if g.min_degree() >= k + 1]
+        survey(cat, k)
+        assert calls == passing
+        calls.clear()
+        search._survey_chunk((lines, 7, k))
+        assert calls == passing
+        calls.clear()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
