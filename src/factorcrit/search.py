@@ -719,14 +719,11 @@ def _fold_record(
     raise_on_violation: bool,
     on_minimal: Callable[[str], None] | None,
 ) -> None:
-    """Add one record to ``report``.  A short record, neither minimal nor an
-    error, counts only towards ``total`` and ``kfc_count``.  A failure of a
-    proven statement raises ``TheoremViolated`` under
+    """Add one record to ``report``.  A record that is neither minimal nor
+    an error counts only towards ``total`` and ``kfc_count``.  A failure of
+    a proven statement raises ``TheoremViolated`` under
     ``raise_on_violation``."""
     report.total += 1
-    if len(record) == 3:  # graph6, kfc and minimal only
-        report.kfc_count += record["kfc"]
-        return
     line = record["graph6"]
     if "error" in record:
         report.errors.append((line, record["error"]))
