@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 from typing import Iterable
@@ -56,6 +55,7 @@ from .search import (
     _check_generate_order,
     _parse_graph6_lines,
     _read_graph6_file,
+    _usable_cpus,
     enumerate_catalog,
     generate_nonisomorphic,
     hunt_counterexamples,
@@ -66,19 +66,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
-
-JOBS_ENV = "FACTORCRIT_JOBS"
-
-
-def default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
 
 def _parse_edge(text: str) -> tuple[int, int]:
     try:
@@ -94,12 +81,13 @@ def _input_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
         raise FactorCritError("give a positional graph6 string or --file, not both")
     if args.graph6 is not None:
         return [("arg", parse_graph6(args.graph6))]
+    bad: list[tuple[int, str]] = []
     if args.file is not None:
         where, label = args.file, "line"
-        entries, bad = _read_graph6_file(args.file, args.lenient)
+        entries = list(_read_graph6_file(args.file, args.lenient, bad))
     else:
         where = label = "stdin"
-        entries, bad = _parse_graph6_lines(sys.stdin, where, args.lenient)
+        entries = list(_parse_graph6_lines(sys.stdin, where, args.lenient, bad))
     for lineno, message in bad:
         print(f"{where}:{lineno}: skipped: {message}", file=sys.stderr)
     return [(f"{label} {lineno}", g) for lineno, _text, g in entries]
@@ -338,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="graph6 catalog file")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int, default=_usable_cpus())
     p.add_argument("--json", action="store_true")
     p.add_argument("--jsonl", help="stream one JSON record per graph to this path")
     p.add_argument("--resume-lines", type=int, default=0,
@@ -353,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fix k = n - OFFSET instead of sweeping all valid k")
     p.add_argument("--catalog", type=_catalog_pair, action="append", metavar="N=PATH",
                    help="ingest this catalog for order N instead of generating")
-    p.add_argument("--jobs", type=int, default=default_jobs())
+    p.add_argument("--jobs", type=int, default=_usable_cpus())
     p.add_argument("--json", action="store_true")
     p.add_argument("--self-test", action="store_true",
                    help="invert the minimum-degree predicate to prove plants surface")

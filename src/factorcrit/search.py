@@ -69,6 +69,7 @@ import multiprocessing
 import os
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -358,15 +359,16 @@ def _orbit_leaders(gens: Collection[Sequence[int]], top: int, reverse: list[int]
 class Catalog:
     """A fixed-order collection of graphs, held as graph6 lines.
 
-    The lines are decoded lazily, and at most once for the whole catalog:
-    the first pass over every line (an iteration, or ``survey`` at
-    ``jobs=1`` without ``skip``) keeps their adjacency rows on this object,
-    so later passes, such as sweeps at further k, parse nothing.  A pass
-    from ``skip`` > 0 decodes only the lines after ``skip`` and keeps
-    nothing.  The rows are derived, not a field: equality, hashing and
-    ``dataclasses.replace`` see only the lines, and a replaced catalog
-    decodes its own lines.  A malformed line, or one of another order than
-    ``n``, raises ``MalformedEncoding`` when a pass reaches it.
+    Each catalog decodes its lines at most once, into one row source that
+    iteration and every ``survey`` pass read, the pool's workers included.
+    A catalog built from graphs already in hand (generation, ingest by
+    ``enumerate_catalog``, ``from_graphs``) keeps their rows from the start
+    and parses nothing.  Any other catalog, made by the constructor or by
+    ``dataclasses.replace``, decodes all its lines on first use and keeps
+    them.  The rows are derived, not a field: equality, hashing and
+    ``dataclasses.replace`` see only the lines.  A malformed line, or one of
+    another order than ``n``, raises ``MalformedEncoding`` on first use,
+    before anything else happens.
     """
 
     n: int
@@ -378,78 +380,75 @@ class Catalog:
         return len(self.graph6_lines)
 
     def __iter__(self) -> Iterator[Graph]:
-        n = self.n
-        return (Graph._trusted(n, adj) for adj in self._adjacencies(0))
+        n, rows = self.n, self._rows
+        return (Graph._trusted(n, tuple(rows[i * n:i * n + n])) for i in range(len(self)))
 
-    def _adjacencies(self, skip: int) -> Iterator[tuple[int, ...]]:
-        """The adjacency rows of the graphs after the first ``skip``, sliced
-        from the kept rows when there are any.  The rows of a full pass are
-        kept end to end, ``n`` per graph, in the narrowest array type that
-        holds ``n`` bits, so that they take about the memory of the lines or
-        less."""
-        n = self.n
-        rows = self.__dict__.get("_rows")
-        if rows is not None:
-            for i in range(skip * n, len(rows), n):
-                yield tuple(rows[i:i + n])
-            return
-        rows = None if skip else array(next((c for c in "BHIL" if array(c).itemsize * 8 >= n), "Q"))
-        for line in self.graph6_lines[skip:]:
-            adj = _catalog_graph(line, n).adj
-            if rows is not None:
-                rows.extend(adj)
-            yield adj
-        if rows is not None:
-            self.__dict__["_rows"] = rows  # frozen: bypass the dataclass setter
+    @cached_property
+    def _rows(self) -> array:
+        """The adjacency rows of every graph end to end, ``n`` per graph, in
+        the narrowest array type that holds ``n`` bits, so that they take
+        about the memory of the lines or less."""
+        n, rows = self.n, _row_array(self.n)
+        for line in self.graph6_lines:
+            rows.extend(_of_order(parse_graph6(line), n).adj)
+        return rows
 
     @classmethod
     def from_graphs(cls, n: int, graphs: Iterable[Graph], source: str = "memory") -> Catalog:
-        lines = []
-        for g in graphs:
-            if g.n != n:
-                raise MalformedEncoding(f"graph of order {g.n} in order-{n} catalog")
-            lines.append(encode_graph6(g))
-        return cls(n, source, DEDUP_AS_IS, tuple(lines))
+        return _kept_catalog(n, source, DEDUP_AS_IS, ((encode_graph6(g), _of_order(g, n).adj) for g in graphs))
 
 
-def _catalog_graph(line: str, n: int) -> Graph:
-    """Decode one line of an order-``n`` catalog."""
-    g = parse_graph6(line)
+def _row_array(n: int) -> array:
+    return array(next((c for c in "BHIL" if array(c).itemsize * 8 >= n), "Q"))
+
+
+def _kept_catalog(n: int, source: str, dedup: str, entries: Iterable[tuple[str, tuple[int, ...]]]) -> Catalog:
+    """The catalog of (graph6 text, rows) ``entries``, keeping the rows."""
+    lines: list[str] = []
+    rows = _row_array(n)
+    for text, adj in entries:
+        lines.append(text)
+        rows.extend(adj)
+    catalog = Catalog(n, source, dedup, tuple(lines))
+    catalog.__dict__["_rows"] = rows  # where cached_property keeps it
+    return catalog
+
+
+def _of_order(g: Graph, n: int) -> Graph:
+    """``g``, which must have order ``n`` to join an order-``n`` catalog."""
     if g.n != n:
         raise MalformedEncoding(f"graph of order {g.n} in order-{n} catalog")
     return g
 
 
 def _read_graph6_file(
-    path: str, lenient: bool
-) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str]]]:
-    """``_parse_graph6_lines`` over the lines of the file at ``path``.
+    path: str, lenient: bool, bad: list[tuple[int, str]]
+) -> Iterator[tuple[int, str, Graph]]:
+    """``_parse_graph6_lines`` over the lines of the file at ``path``, read
+    as they are decoded.
 
     Non-ASCII bytes decode to lone surrogates, which ``parse_graph6``
     rejects as out of range like any other malformed line.  A file that
     cannot be opened or read raises ``FileUnreadable``."""
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-            raw = handle.readlines()
+            yield from _parse_graph6_lines(handle, path, lenient, bad)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    return _parse_graph6_lines(raw, path, lenient)
 
 
 def _parse_graph6_lines(
-    lines: Iterable[str], where: str, lenient: bool
-) -> tuple[list[tuple[int, str, Graph]], list[tuple[int, str]]]:
+    lines: Iterable[str], where: str, lenient: bool, bad: list[tuple[int, str]]
+) -> Iterator[tuple[int, str, Graph]]:
     """The good lines as (lineno, graph6, graph) entries, counting from 1,
-    plus the bad ones as (lineno, message), skipping blank lines.
+    skipping blank lines, one at a time so that a caller can keep as little
+    of each as it needs.
 
     A good line's graph6 text has its whitespace and any ``GRAPH6_HEADER``
     taken off; a bare header is an empty graph6 string, so a bad line.  A
     bad line raises ``MalformedEncoding``, prefixed ``where:lineno:`` with
     ``where`` naming the source (a path, or stdin), unless ``lenient``;
-    then it is returned alongside the good lines.  Each good line is
-    decoded once, and its graph kept for callers that need it."""
-    good: list[tuple[int, str, Graph]] = []
-    bad: list[tuple[int, str]] = []
+    then it is skipped and appended to ``bad`` as (lineno, message)."""
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -461,8 +460,7 @@ def _parse_graph6_lines(
                 raise MalformedEncoding(f"{where}:{lineno}: {exc}") from exc
             bad.append((lineno, str(exc)))
             continue
-        good.append((lineno, text.removeprefix(GRAPH6_HEADER), g))
-    return good, bad
+        yield lineno, text.removeprefix(GRAPH6_HEADER), g
 
 
 def enumerate_catalog(
@@ -474,31 +472,34 @@ def enumerate_catalog(
     """Build a catalog by generating order ``n`` or ingesting a graph6 file.
 
     Ingested lines must all decode to graphs of order ``n``; under ``lenient``
-    offending lines are skipped, otherwise they are fatal with their line
-    number.  ``dedup='canonical'`` drops isomorphic duplicates on ingest.
+    offending lines are skipped, otherwise the first one in the file is
+    fatal with its line number.  ``dedup='canonical'`` drops isomorphic
+    duplicates on ingest.  Either way the catalog keeps the rows of the
+    graphs it was built from, and no ``Graph`` outlives its line.
     """
     if dedup not in (DEDUP_AS_IS, DEDUP_CANONICAL):
         raise PreconditionUnmet(
             f"dedup must be {DEDUP_AS_IS!r} or {DEDUP_CANONICAL!r}, not {dedup!r}"
         )
     if path is None:
-        lines = tuple(encode_graph6(g) for g in generate_nonisomorphic(n))
-        return Catalog(n, "generate", DEDUP_CANONICAL, lines)
-    good, _bad = _read_graph6_file(path, lenient)
-    lines = []
-    seen: set[str] = set()
-    for lineno, text, g in good:
-        if g.n != n:
-            if lenient:
-                continue
-            raise MalformedEncoding(f"{path}:{lineno}: order {g.n}, expected {n}")
-        if dedup == DEDUP_CANONICAL:
-            canon = canonical_graph6(g)
-            if canon in seen:
-                continue
-            seen.add(canon)
-        lines.append(text)
-    return Catalog(n, path, dedup, tuple(lines))
+        graphs = generate_nonisomorphic(n)
+        return _kept_catalog(n, "generate", DEDUP_CANONICAL, ((encode_graph6(g), g.adj) for g in graphs))
+
+    def ingested() -> Iterator[tuple[str, tuple[int, ...]]]:
+        seen: set[str] = set()
+        for lineno, text, g in _read_graph6_file(path, lenient, []):
+            if g.n != n:
+                if lenient:
+                    continue
+                raise MalformedEncoding(f"{path}:{lineno}: order {g.n}, expected {n}")
+            if dedup == DEDUP_CANONICAL:
+                canon = canonical_graph6(g)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+            yield text, g.adj
+
+    return _kept_catalog(n, path, dedup, ingested())
 
 
 def valid_k_values(n: int) -> list[int]:
@@ -600,11 +601,6 @@ def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
     return record
 
 
-def _survey_chunk(args: tuple[list[str], int, int]) -> list[dict]:
-    lines, n, k = args
-    return [_survey_record(line, _catalog_graph(line, n).adj, k) for line in lines]
-
-
 def survey(
     catalog: Catalog,
     k: int,
@@ -625,7 +621,11 @@ def survey(
     ``ResumeMismatch`` is raised; a torn last line left by a crash is cut
     off first.  ``on_minimal`` receives the graph6 line of each minimally
     k-factor-critical graph, in catalog order.  ``jobs`` is capped at the
-    CPU count.
+    number of CPUs this process may run on.
+
+    The catalog is decoded first, if it has not been already, so that a bad
+    line raises ``MalformedEncoding`` before the resume check or the sink
+    touches ``jsonl_path``.
     """
     n = catalog.n
     if n < 3:
@@ -637,6 +637,7 @@ def survey(
     if not 0 <= skip <= len(catalog):
         raise PreconditionUnmet(f"skip={skip} outside 0..{len(catalog)}")
     report = SurveyReport(n=n, k=k, source=catalog.source)
+    catalog._rows  # decode now, before the pool forks or the file is touched
     if jsonl_path is not None and skip:
         _check_resume(jsonl_path, catalog.graph6_lines, skip)
     sink = open(jsonl_path, "a" if skip else "w", encoding="utf-8") if jsonl_path else None
@@ -691,26 +692,56 @@ def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
 
 def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[dict]:
     """The records of the catalog's graphs after the first ``skip``, in
-    order, all from ``_survey_record``.  In one process it gets each graph's
-    rows from the catalog's own pass, which reuses or keeps its decoded
-    rows, so a graph that fails the degree gate costs no ``Graph`` and no
-    matching work; a pool of at most one worker per CPU receives graph6
-    lines and decodes its own."""
-    lines = catalog.graph6_lines[skip:]
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(lines) < 64:
-        # strict: the pass must run to its end, where it keeps the rows
-        for line, adj in zip(lines, catalog._adjacencies(skip), strict=True):
-            yield _survey_record(line, adj, k)
+    order, all from ``_survey_record`` over the catalog's kept rows, so a
+    graph that fails the degree gate costs no ``Graph`` and no matching
+    work.  With ``jobs`` above 1 and at least 64 graphs, a pool of at most
+    one worker per usable CPU receives index ranges: its workers, forked
+    after the catalog was decoded, read the same rows and parse nothing."""
+    count = len(catalog) - skip
+    jobs = min(jobs, _usable_cpus())
+    if jobs <= 1 or count < 64:
+        yield from _records(catalog, skip, len(catalog), k)
         return
-    chunk_size = max(32, len(lines) // (jobs * 16))
-    chunks = [
-        (list(lines[i:i + chunk_size]), catalog.n, k)
-        for i in range(0, len(lines), chunk_size)
-    ]
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        for records in pool.imap(_survey_chunk, chunks):
+    size = max(32, count // (jobs * 16))
+    ranges = [(start, min(start + size, len(catalog))) for start in range(skip, len(catalog), size)]
+    # fork passes the initializer's arguments unpickled: each worker inherits
+    # the catalog with its rows
+    with multiprocessing.get_context("fork").Pool(jobs, _start_worker, (catalog, k)) as pool:
+        for records in pool.imap(_survey_range, ranges):
             yield from records
+
+
+def _records(catalog: Catalog, start: int, stop: int, k: int) -> Iterator[dict]:
+    """The records of catalog graphs ``start`` to ``stop`` - 1."""
+    n, rows = catalog.n, catalog._rows
+    for line, i in zip(catalog.graph6_lines[start:stop], range(start * n, stop * n, n)):
+        yield _survey_record(line, tuple(rows[i:i + n]), k)
+
+
+# The catalog and k of the survey that a pool worker serves, set once in
+# each worker by ``_start_worker``.
+_worker_survey: tuple[Catalog, int] | None = None
+
+
+def _start_worker(catalog: Catalog, k: int) -> None:
+    global _worker_survey
+    _worker_survey = catalog, k
+
+
+def _survey_range(bounds: tuple[int, int]) -> list[dict]:
+    """A pool task: the records of the graphs in ``bounds``, a (start,
+    stop) index range of the worker's catalog."""
+    catalog, k = _worker_survey
+    return list(_records(catalog, *bounds, k))
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, otherwise the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _fold_record(

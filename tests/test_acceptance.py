@@ -84,12 +84,17 @@ def lines9():
 
 
 @pytest.fixture(scope="module")
-def sweeps(lines, lines9):
+def catalog9(lines9):
+    """The order-9 catalog, which decodes its lines on first use."""
+    return Catalog(9, "generate", "canonical", lines9)
+
+
+@pytest.fixture(scope="module")
+def sweeps(lines, catalog9):
     """Survey report and minimal-graph list for every (n, k), n <= 9."""
     out = {}
     for n in range(3, 10):
-        source = lines9 if n == 9 else lines[n]
-        catalog = Catalog(n, "generate", "canonical", source)
+        catalog = catalog9 if n == 9 else Catalog(n, "generate", "canonical", lines[n])
         for k in valid_k_values(n):
             started = time.monotonic()
             minimal: list[str] = []
@@ -108,6 +113,20 @@ def test_generation_matches_golden_hashes(lines, lines9):
         source = lines9 if n == 9 else lines[n]
         payload = "".join(line + "\n" for line in source).encode("ascii")
         assert hashlib.sha256(payload).hexdigest() == expected, n
+
+
+def test_pool_matches_the_in_process_sweep_at_order_9(sweeps, catalog9):
+    """At jobs=2 the forked workers survey index ranges of the rows that the
+    jobs=1 sweeps decoded; reports and minimal lists must not change."""
+    started = time.monotonic()
+    for k in (1, 7):
+        minimal: list[str] = []
+        report = survey(catalog9, k, jobs=2, on_minimal=minimal.append)
+        expected, expected_minimal = sweeps[(9, k)]
+        assert report.to_json() == expected.to_json(), k
+        assert minimal == expected_minimal, k
+    print(f"[pool] order-9 jobs=2 sweeps at k = 1, 7 equal jobs=1 "
+          f"({time.monotonic() - started:.0f}s)")
 
 
 def _circulant(n: int, steps: tuple[int, ...]) -> Graph:

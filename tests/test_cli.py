@@ -20,7 +20,7 @@ from factorcrit import (
     path_graph,
     wheel_graph,
 )
-from factorcrit.cli import default_jobs, main
+from factorcrit.cli import build_parser, main
 
 
 def run_cli(argv, stdin: str | None = None, capsys=None):
@@ -320,13 +320,11 @@ def test_usage_exit_codes(capsys):
     assert run_cli(["pm", "A_", "--file", "x.g6"], capsys=capsys)[0] == 2
 
 
-def test_jobs_env_override(monkeypatch):
-    monkeypatch.setenv("FACTORCRIT_JOBS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("FACTORCRIT_JOBS", "junk")
-    assert default_jobs() >= 1
-    monkeypatch.delenv("FACTORCRIT_JOBS")
-    assert default_jobs() >= 1
+def test_jobs_default_is_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for command in (["survey", "--gen", "6", "--k", "2"], ["hunt", "--n-from", "4", "--n-to", "6"]):
+        assert build_parser().parse_args(command).jobs == 1
 
 
 # (argv, stdin, exit code, sha256 of stdout) for the per-graph commands,

@@ -342,9 +342,10 @@ def test_catalog_ingest_non_ascii_line(tmp_path: Path):
     with pytest.raises(MalformedEncoding, match=r"accented\.g6:2: byte out of graph6 range"):
         enumerate_catalog(2, path=str(path))
     with pytest.raises(MalformedEncoding, match=r"accented\.g6:2:"):
-        search._read_graph6_file(str(path), lenient=False)
+        list(search._read_graph6_file(str(path), lenient=False, bad=[]))
     assert enumerate_catalog(2, path=str(path), lenient=True).graph6_lines == ("A_",)
-    good, bad = search._read_graph6_file(str(path), lenient=True)
+    bad: list = []
+    good = list(search._read_graph6_file(str(path), lenient=True, bad=bad))
     assert [(lineno, text) for lineno, text, _g in good] == [(1, "A_")]
     assert [lineno for lineno, _message in bad] == [2]
 
@@ -357,11 +358,12 @@ def test_catalog_ingest_graph6_header(tmp_path: Path):
     with pytest.raises(MalformedEncoding, match=r"header\.g6:4: empty graph6 string$"):
         enumerate_catalog(2, path=str(path))
     assert enumerate_catalog(2, path=str(path), lenient=True).graph6_lines == ("A_", "A_")
-    good, bad = search._read_graph6_file(str(path), lenient=True)
+    bad: list = []
+    good = list(search._read_graph6_file(str(path), lenient=True, bad=bad))
     assert [(lineno, text) for lineno, text, _g in good] == [(1, "A_"), (3, "A_")]
     assert [lineno for lineno, _message in bad] == [4]
     path.write_text(">>graph6<< A_\n", encoding="ascii")
-    assert search._read_graph6_file(str(path), lenient=True)[0] == []
+    assert list(search._read_graph6_file(str(path), lenient=True, bad=[])) == []
 
 
 def test_catalog_ingest_canonical_dedup(tmp_path: Path):
@@ -618,11 +620,13 @@ def test_hunt_builds_no_catalog_for_an_order_without_k(monkeypatch):
 
 
 def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):
+    """The cap is the CPUs this process may run on, not the machine's count."""
     requested: list[int] = []
 
-    class Pool:  # runs the chunks in this process, recording the worker count
-        def __init__(self, processes):
+    class Pool:  # runs the ranges in this process, recording the worker count
+        def __init__(self, processes, initializer, initargs):
             requested.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -637,13 +641,21 @@ def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(search, "multiprocessing", SimpleNamespace(get_context=lambda method: fork))
     cat = enumerate_catalog(7)
     expected = survey(cat, 3).to_json()
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {0, 2, 5})
     assert survey(cat, 3, jobs=5000).to_json() == expected
     assert survey(cat, 3, jobs=2).to_json() == expected
     assert requested == [3, 2]
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)  # unknown: in process
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: {1})  # pinned: in process
     assert survey(cat, 3, jobs=5000).to_json() == expected
     assert requested == [3, 2]
+    monkeypatch.delattr(search.os, "sched_getaffinity")  # no affinity: the CPU count
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    assert survey(cat, 3, jobs=5000).to_json() == expected
+    assert requested == [3, 2, 3]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)  # unknown: in process
+    assert survey(cat, 3, jobs=5000).to_json() == expected
+    assert requested == [3, 2, 3]
 
 
 def test_catalog_rejects_mixed_orders(catalog):
@@ -665,11 +677,11 @@ def _count_parses(monkeypatch) -> list[str]:
 
 
 def test_catalog_decodes_its_lines_once(tmp_path: Path, monkeypatch):
+    """A generated catalog keeps the rows it was built from: no survey of
+    it, in process or pooled, parses a line."""
     cat = enumerate_catalog(7)
     calls = _count_parses(monkeypatch)
     first = survey(cat, 3, jsonl_path=str(tmp_path / "first.jsonl"))
-    assert calls == list(cat.graph6_lines)
-    calls.clear()
     second = survey(cat, 3, jsonl_path=str(tmp_path / "second.jsonl"))
     for k in (1, 5):
         survey(cat, k)
@@ -683,15 +695,42 @@ def test_catalog_decodes_its_lines_once(tmp_path: Path, monkeypatch):
 
 
 def test_resumed_first_pass_decodes_only_the_tail(tmp_path: Path, monkeypatch):
+    """A catalog made from lines decodes each of them exactly once, on the
+    first pass, even when that pass resumes after ``skip`` graphs."""
     lines = enumerate_catalog(7).graph6_lines
     cat = Catalog(7, "memory", "as-is", lines)
     calls = _count_parses(monkeypatch)
     survey(cat, 3, skip=1000)
-    assert calls == list(lines[1000:])
-    calls.clear()
     survey(cat, 3)
-    survey(cat, 5)
+    survey(cat, 5, jobs=2)
     assert calls == list(lines)
+
+
+def test_survey_parses_nothing_in_a_catalog_built_from_graphs(tmp_path: Path, monkeypatch):
+    """Generated and ingested catalogs survey, in process and through the
+    pool, with ``parse_graph6`` gone; forked workers inherit the patch."""
+    path = tmp_path / "cat6.g6"
+    path.write_text("".join(line + "\n" for line in enumerate_catalog(6).graph6_lines))
+    generated, ingested = enumerate_catalog(6), enumerate_catalog(6, path=str(path))
+
+    def broken(text):
+        raise AssertionError(f"parsed {text}")
+
+    monkeypatch.setattr(search, "parse_graph6", broken)
+    for cat in (generated, ingested):
+        assert survey(cat, 2, jobs=2).to_json() == survey(cat, 2, jobs=1).to_json()
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "ingested"])
+def test_pool_records_equal_in_process_records_after_skip(tmp_path: Path, direct):
+    path = tmp_path / "cat7.g6"
+    lines = enumerate_catalog(7).graph6_lines
+    path.write_text("".join(line + "\n" for line in lines))
+    cat = Catalog(7, str(path), "as-is", lines) if direct else enumerate_catalog(7, path=str(path))
+    for skip in (1, 700, 980):
+        pooled = list(search._iter_records(cat, skip, 3, 2))
+        assert pooled == list(search._iter_records(cat, skip, 3, 1))
+        assert [record["graph6"] for record in pooled] == list(lines[skip:])
 
 
 def test_decoding_leaves_equality_and_replace_alone():
@@ -764,7 +803,9 @@ def test_degree_gated_graphs_skip_the_criticality_test(monkeypatch):
         survey(cat, k)
         assert calls == passing
         calls.clear()
-        search._survey_chunk((lines, 7, k))
+        monkeypatch.setattr(search, "_worker_survey", (cat, k))
+        records = search._survey_range((0, len(cat)))
+        assert [record["graph6"] for record in records] == lines
         assert calls == passing
         calls.clear()
 
@@ -772,11 +813,28 @@ def test_degree_gated_graphs_skip_the_criticality_test(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("bad", ["garbage!!", "D??"], ids=["malformed", "order-5"])
 def test_direct_catalog_with_bad_line_raises(tmp_path: Path, jobs, bad):
+    """The catalog is decoded before the sink opens, so no record is written."""
     cat = Catalog(4, "memory", "as-is", ("C~",) * 70 + (bad,))
     sink = tmp_path / "records.jsonl"
     with pytest.raises(MalformedEncoding):
         survey(cat, 2, jobs=jobs, jsonl_path=str(sink))
-    if jobs == 1:  # the records ahead of the bad line are written first
-        assert len(sink.read_text(encoding="utf-8").splitlines()) == 70
+    assert not sink.exists()
     with pytest.raises(MalformedEncoding):
         list(cat)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("skip", [0, 3])
+def test_bad_line_leaves_an_existing_jsonl_file_alone(tmp_path: Path, jobs, skip):
+    """A bad line raises before the resume check can cut the file or the
+    sink can truncate or append to it."""
+    good = Catalog(4, "memory", "as-is", ("C~",) * 70)
+    sink = tmp_path / "records.jsonl"
+    survey(good, 2, jsonl_path=str(sink))
+    records = sink.read_bytes().splitlines(keepends=True)
+    before = b"".join(records[:skip]) + records[skip][:9]  # then a torn line, as a crash leaves
+    sink.write_bytes(before)
+    cat = Catalog(4, "memory", "as-is", ("C~",) * 70 + ("garbage!!",))
+    with pytest.raises(MalformedEncoding):
+        survey(cat, 2, jobs=jobs, jsonl_path=str(sink), skip=skip)
+    assert sink.read_bytes() == before
