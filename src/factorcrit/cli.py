@@ -25,7 +25,7 @@ import signal
 import sys
 from typing import Iterable
 
-from .errors import EdgeAbsent, FactorCritError, TheoremViolated
+from .errors import EdgeAbsent, FactorCritError, PreconditionUnmet, TheoremViolated
 from .graph import Graph, bits_list, encode_graph6, parse_graph6
 from .matching import (
     VIOLATOR_MAX_ORDER,
@@ -235,7 +235,11 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
     orders = range(args.n_from, args.n_to + 1)
-    files = dict(args.catalog or [])
+    files: dict[int, str] = {}
+    for n, path in args.catalog or []:
+        if n in files:
+            raise PreconditionUnmet(f"--catalog gives order {n} twice")
+        files[n] = path
     rule: str | int = args.offset if args.offset is not None else "all-valid"
     found = hunt_counterexamples(orders, k_rule=rule, files=files, jobs=args.jobs,
                                  invert_predicate=args.self_test)

@@ -5,11 +5,27 @@ non-adjacent pair (u, v) such that G' has no perfect matching but G' + uv
 does.  Such instances arise as G - e - S_e when a witness set S_e forces the
 edge e = uv; the classifier names the finitely many shapes they can take.
 
-Templates are keyed on the minimum-cardinality deficiency certificate X: its
-size, the multiset of component sizes of G' - X, where the designated pair
-sits, and a few adjacency side conditions.  Family A and B instances must
-have no pendent vertex after restoring uv; family C instances only need
-G' itself to have no isolated vertex.
+Each minimum-cardinality deficiency certificate X is matched by one table,
+``TEMPLATES``.  Its key is what X shows: (family, |X|, the sorted odd
+component sizes of G' - X, the sorted even component sizes, (|u's component|,
+|v's component|)), taken after swapping u and v when u's component is the
+larger one.  Its value is a label and the label's role names, which one rule
+fills in order:
+
+1. X, ascending;
+2. u's component without u;
+3. v's component without v;
+4. the other odd components, by (size, least vertex);
+5. the even component.
+
+Vertices are ascending within each part.  Three labels add a side condition:
+in A3, x and y are the lexicographically first distinct X vertices with ux
+and vy edges, and there must be such a pair; in B4, the X vertex must have a
+neighbour in the spare triple; in C4, every X vertex must be adjacent to u or
+v.  C1 also reports the edges inside both components.
+
+Family A and B instances must have no pendent vertex after restoring uv;
+family C instances only need G' itself to have no isolated vertex.
 """
 
 from __future__ import annotations
@@ -43,10 +59,30 @@ FAMILIES = (FAMILY_A, FAMILY_B, FAMILY_C)
 UNCLASSIFIED = "Unclassified"
 C2_PRIME = "C2'"
 
+# (family, |X|, odd component sizes, even component sizes, (|u's component|,
+# |v's component|)) -> (label, role names in the order of the role rule).
+TEMPLATES = {
+    (FAMILY_A, 0, (3, 3), (), (3, 3)): ("A1", "u1 u2 u3 u4"),
+    (FAMILY_A, 1, (1, 1, 3), (), (1, 1)): ("A2", "x v1 v2 v3"),
+    (FAMILY_A, 2, (1, 1, 1, 1), (), (1, 1)): ("A3", "x y w1 w2"),
+    (FAMILY_B, 0, (3, 5), (), (3, 5)): ("B1", "u1 u2 u3 u4 u5 u6"),
+    (FAMILY_B, 1, (1, 1, 3), (2,), (1, 1)): ("B2", "a v1 v2 v3 v4 v5"),
+    (FAMILY_B, 1, (1, 1, 5), (), (1, 1)): ("B3", "a v1 v2 v3 v4 v5"),
+    (FAMILY_B, 1, (1, 3, 3), (), (1, 3)): ("B4", "a x1 x2 x3 x4 x5"),
+    (FAMILY_B, 2, (1, 1, 1, 1), (2,), (1, 1)): ("B5", "a1 a2 y1 y2 y3 y4"),
+    (FAMILY_B, 2, (1, 1, 1, 3), (), (1, 1)): ("B6", "b1 b2 z1 z2 z3 z4"),
+    (FAMILY_B, 2, (1, 1, 1, 3), (), (1, 3)): ("B7", "c1 c2 p3 p4 p1 p2"),
+    (FAMILY_B, 3, (1, 1, 1, 1, 1), (), (1, 1)): ("B8", "a1 a2 a3 w1 w2 w3"),
+    (FAMILY_C, 0, (3, 3), (), (3, 3)): ("C1", "u1 u2 v1 v2"),
+    (FAMILY_C, 1, (1, 1, 1), (2,), (1, 1)): ("C2", "a w p1 p2"),
+    (FAMILY_C, 1, (1, 1, 3), (), (1, 1)): (C2_PRIME, "a v1 v2 v3"),
+    (FAMILY_C, 1, (1, 1, 3), (), (1, 3)): ("C3", "a y2 y3 y1"),
+    (FAMILY_C, 2, (1, 1, 1, 1), (), (1, 1)): ("C4", "a1 a2 w1 w2"),
+}
+
 FAMILY_LABELS = {
-    FAMILY_A: ("A1", "A2", "A3"),
-    FAMILY_B: ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8"),
-    FAMILY_C: ("C1", "C2", C2_PRIME, "C3", "C4"),
+    family: tuple(label for key, (label, _names) in TEMPLATES.items() if key[0] == family)
+    for family in FAMILIES
 }
 
 FAMILY_ORDER = {FAMILY_A: 6, FAMILY_B: 8, FAMILY_C: 6}
@@ -120,10 +156,6 @@ class ConfigurationMatch:
         return out
 
 
-def _block_vertices(block: int, exclude: int = -1) -> list[int]:
-    return [w for w in bits_list(block) if w != exclude]
-
-
 def _internal_edges(g: Graph, block: int) -> list[list[int]]:
     verts = bits_list(block)
     return [[a, b] for i, a in enumerate(verts) for b in verts[i + 1:] if g.has_edge(a, b)]
@@ -132,138 +164,46 @@ def _internal_edges(g: Graph, block: int) -> list[list[int]]:
 def _match_template(
     g: Graph, u: int, v: int, family: str, cert: TutteCertificate
 ) -> tuple[str, dict[str, int], dict]:
-    """Match one (instance, certificate) pair against the family's templates."""
+    """Match one (instance, certificate) pair against the family's templates.
+
+    The certificate's shape is looked up in ``TEMPLATES`` and the roles are
+    filled by the role rule of the module docstring.
+    """
     unmatched = (UNCLASSIFIED, {}, {})
-    x_mask = cert.x_set
-    xs = bits_list(x_mask)
-    part = cert.partition
-    if part.odd_count != len(xs) + 2:
+    blocks = cert.partition.blocks
+    # An endpoint in X (no block, 0) or in an even block gives a key that no
+    # template has.
+    ub = next((b for b in blocks if b >> u & 1), 0)
+    vb = next((b for b in blocks if b >> v & 1), 0)
+    if ub == vb:
         return unmatched
-    odd = [b for b in part.blocks if b.bit_count() & 1]
-    even = [b for b in part.blocks if not b.bit_count() & 1]
-    ub = next((b for b in odd if b >> u & 1), None)
-    vb = next((b for b in odd if b >> v & 1), None)
-    if ub is None or vb is None or ub == vb:
+    if ub.bit_count() > vb.bit_count():
+        u, v, ub, vb = v, u, vb, ub
+    sizes = sorted(b.bit_count() for b in blocks)
+    key = (family, cert.x_set.bit_count(), tuple(s for s in sizes if s & 1),
+           tuple(s for s in sizes if not s & 1), (ub.bit_count(), vb.bit_count()))
+    if key not in TEMPLATES:
         return unmatched
-    odd_sizes = sorted(b.bit_count() for b in odd)
-    even_sizes = sorted(b.bit_count() for b in even)
-    others = [b for b in odd if b != ub and b != vb]
-    u_trivial = ub.bit_count() == 1
-    v_trivial = vb.bit_count() == 1
+    label, names = TEMPLATES[key]
+    xs = bits_list(cert.x_set)
+    # The other odd components by (size, least vertex), then the even one.
+    rest = sorted((b for b in blocks if b not in (ub, vb)),
+                  key=lambda b: (b.bit_count() % 2 == 0, b.bit_count(), b & -b))
     adj = g.adj
-
-    if family == FAMILY_A:
-        if not xs and odd_sizes == [3, 3] and not even:
-            roles = {"u": u, "v": v}
-            roles["u1"], roles["u2"] = _block_vertices(ub, u)
-            roles["u3"], roles["u4"] = _block_vertices(vb, v)
-            return "A1", roles, {}
-        if len(xs) == 1 and odd_sizes == [1, 1, 3] and not even and u_trivial and v_trivial:
-            roles = {"u": u, "v": v, "x": xs[0]}
-            roles["v1"], roles["v2"], roles["v3"] = _block_vertices(others[0])
-            return "A2", roles, {}
-        if len(xs) == 2 and odd_sizes == [1, 1, 1, 1] and not even:
-            pair = _distinct_attachments(adj, u, v, xs)
-            if pair is None:
-                return unmatched
-            roles = {"u": u, "v": v, "x": pair[0], "y": pair[1]}
-            roles["w1"], roles["w2"] = sorted(b.bit_length() - 1 for b in others)
-            return "A3", roles, {}
-        return unmatched
-
-    if family == FAMILY_B:
-        if not xs and odd_sizes == [3, 5] and not even:
-            small, large = (ub, vb) if ub.bit_count() == 3 else (vb, ub)
-            ru, rv = (u, v) if small == ub else (v, u)
-            roles = {"u": ru, "v": rv}
-            roles["u1"], roles["u2"] = _block_vertices(small, ru)
-            for name, w in zip(("u3", "u4", "u5", "u6"), _block_vertices(large, rv)):
-                roles[name] = w
-            return "B1", roles, {}
-        if len(xs) == 1 and u_trivial and v_trivial:
-            if odd_sizes == [1, 1, 3] and even_sizes == [2]:
-                roles = {"u": u, "v": v, "a": xs[0]}
-                roles["v1"], roles["v2"], roles["v3"] = _block_vertices(others[0])
-                roles["v4"], roles["v5"] = _block_vertices(even[0])
-                return "B2", roles, {}
-            if odd_sizes == [1, 1, 5] and not even:
-                roles = {"u": u, "v": v, "a": xs[0]}
-                for name, w in zip(("v1", "v2", "v3", "v4", "v5"), _block_vertices(others[0])):
-                    roles[name] = w
-                return "B3", roles, {}
-        if len(xs) == 1 and odd_sizes == [1, 3, 3] and not even and u_trivial != v_trivial:
-            ru, rv = (u, v) if u_trivial else (v, u)
-            rvb = vb if u_trivial else ub
-            spare = next(b for b in others if b.bit_count() == 3)
-            if not adj[xs[0]] & spare:
-                return unmatched
-            roles = {"u": ru, "v": rv, "a": xs[0]}
-            roles["x1"], roles["x2"] = _block_vertices(rvb, rv)
-            roles["x3"], roles["x4"], roles["x5"] = _block_vertices(spare)
-            return "B4", roles, {}
-        if len(xs) == 2 and odd_sizes == [1, 1, 1, 1] and even_sizes == [2]:
-            roles = {"u": u, "v": v, "a1": xs[0], "a2": xs[1]}
-            roles["y1"], roles["y2"] = sorted(b.bit_length() - 1 for b in others)
-            roles["y3"], roles["y4"] = _block_vertices(even[0])
-            return "B5", roles, {}
-        if len(xs) == 2 and odd_sizes == [1, 1, 1, 3] and not even:
-            if u_trivial and v_trivial:
-                roles = {"u": u, "v": v, "b1": xs[0], "b2": xs[1]}
-                spare3 = next(b for b in others if b.bit_count() == 3)
-                roles["z1"] = next(b for b in others if b.bit_count() == 1).bit_length() - 1
-                roles["z2"], roles["z3"], roles["z4"] = _block_vertices(spare3)
-                return "B6", roles, {}
-            if u_trivial != v_trivial:
-                ru, rv = (u, v) if u_trivial else (v, u)
-                rvb = vb if u_trivial else ub
-                roles = {"u": ru, "v": rv, "c1": xs[0], "c2": xs[1]}
-                roles["p1"], roles["p2"] = sorted(b.bit_length() - 1 for b in others)
-                roles["p3"], roles["p4"] = _block_vertices(rvb, rv)
-                return "B7", roles, {}
-        if len(xs) == 3 and odd_sizes == [1, 1, 1, 1, 1] and not even:
-            roles = {"u": u, "v": v, "a1": xs[0], "a2": xs[1], "a3": xs[2]}
-            for name, w in zip(("w1", "w2", "w3"), sorted(b.bit_length() - 1 for b in others)):
-                roles[name] = w
-            return "B8", roles, {}
-        return unmatched
-
-    # family C
-    if not xs and odd_sizes == [3, 3] and not even:
-        roles = {"u": u, "v": v}
-        roles["u1"], roles["u2"] = _block_vertices(ub, u)
-        roles["v1"], roles["v2"] = _block_vertices(vb, v)
-        meta = {
-            "u_component_edges": _internal_edges(g, ub),
-            "v_component_edges": _internal_edges(g, vb),
-        }
-        return "C1", roles, meta
-    if len(xs) == 1 and odd_sizes == [1, 1, 1] and even_sizes == [2]:
-        roles = {"u": u, "v": v, "a": xs[0]}
-        roles["w"] = next(b for b in others).bit_length() - 1
-        roles["p1"], roles["p2"] = _block_vertices(even[0])
-        return "C2", roles, {}
-    if len(xs) == 1 and odd_sizes == [1, 1, 3] and not even:
-        if u_trivial and v_trivial:
-            roles = {"u": u, "v": v, "a": xs[0]}
-            roles["v1"], roles["v2"], roles["v3"] = _block_vertices(others[0])
-            return C2_PRIME, roles, {}
-        if u_trivial != v_trivial:
-            ru, rv = (u, v) if u_trivial else (v, u)
-            rvb = vb if u_trivial else ub
-            spare = next(b for b in others if b.bit_count() == 1)
-            roles = {"u": ru, "v": rv, "a": xs[0]}
-            roles["y1"] = spare.bit_length() - 1
-            roles["y2"], roles["y3"] = _block_vertices(rvb, rv)
-            return "C3", roles, {}
-        return unmatched
-    if len(xs) == 2 and odd_sizes == [1, 1, 1, 1] and not even:
-        uv_mask = (1 << u) | (1 << v)
-        if any(not adj[x] & uv_mask for x in xs):
+    meta: dict = {}
+    if label == "A3":
+        xs = _distinct_attachments(adj, u, v, xs)
+        if xs is None:
             return unmatched
-        roles = {"u": u, "v": v, "a1": xs[0], "a2": xs[1]}
-        roles["w1"], roles["w2"] = sorted(b.bit_length() - 1 for b in others)
-        return "C4", roles, {}
-    return unmatched
+    elif label == "B4" and not adj[xs[0]] & rest[0]:
+        return unmatched
+    elif label == "C4" and any(not adj[x] & (1 << u | 1 << v) for x in xs):
+        return unmatched
+    elif label == "C1":
+        meta = {"u_component_edges": _internal_edges(g, ub),
+                "v_component_edges": _internal_edges(g, vb)}
+    filled = [*xs, *(w for b in (ub ^ 1 << u, vb ^ 1 << v, *rest) for w in bits_list(b))]
+    return label, {"u": u, "v": v, **dict(zip(names.split(), filled))}, meta
 
 
 def _distinct_attachments(adj, u: int, v: int, xs: list[int]) -> tuple[int, int] | None:
@@ -329,9 +269,9 @@ def residual_family(g: Graph, k: int, e: tuple[int, int]) -> str | None:
     n - 4 falls to family C, the rest to family A.
     """
     residual_order = g.n - k
-    if residual_order == 8:
+    if residual_order == FAMILY_ORDER[FAMILY_B]:
         return FAMILY_B
-    if residual_order != 6:
+    if residual_order != FAMILY_ORDER[FAMILY_A]:
         return None
     u, v = e
     if g.degree(u) >= g.n - 4 and g.degree(v) >= g.n - 4:

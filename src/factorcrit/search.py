@@ -90,6 +90,7 @@ from .criticality import fails_degree_gate, kfc_and_minimal
 # k-factor-critical test as factorcrit.search.is_k_factor_critical.
 from .criticality import is_k_factor_critical  # noqa: F401
 from .configurations import (
+    FAMILY_ORDER,
     UNCLASSIFIED,
     certify_minimal_edges,
     config_predicates,
@@ -572,7 +573,7 @@ def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
             if verdict.failed:
                 failures.append(verdict.theorem)
         record["verdicts"] = verdicts
-        if g.n - k in (6, 8):
+        if g.n - k in FAMILY_ORDER.values():
             config: dict = {"labels": {}, "ambiguous": 0, "pred_passed": 0, "pred_failed": 0, "vacuous_edges": 0, "skipped_edges": 0}
             for e, entry in certify_minimal_edges(g, k).items():
                 if entry.match is None:
@@ -807,8 +808,10 @@ def hunt_counterexamples(
 
     ``k_rule`` is either "all-valid" or an offset c meaning k = n - c.
     Orders with a supplied file are ingested, the rest generated; an order
-    that the rule gives no valid k is skipped unread.  When no order has
-    one, ``KOutOfRange`` names the orders and the rule.
+    that the rule gives no valid k is skipped unread.  A file for an order
+    outside ``orders`` raises ``PreconditionUnmet`` before any catalog is
+    built.  When no order has a valid k, ``KOutOfRange`` names the orders
+    and the rule.
 
     ``invert_predicate`` is a self-test that failures surface: after each
     k's survey, every minimal graph on which the minimum-degree statement
@@ -823,6 +826,9 @@ def hunt_counterexamples(
     else:
         sweeps = [(n, valid_k_values(n)) for n in orders]
         rule = "all valid k"
+    stray = sorted(set(files) - {n for n, _ks in sweeps})
+    if stray:
+        raise PreconditionUnmet(f"catalog files given for orders {stray}, which are not hunted")
     if not any(ks for _n, ks in sweeps):
         if isinstance(orders, range) and orders.step == 1:
             shown = f"{orders.start}..{orders.stop - 1}"

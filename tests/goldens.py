@@ -1,5 +1,12 @@
 """Recorded outputs shared by the unit and acceptance tiers."""
 
+import hashlib
+import itertools
+import json
+
+from factorcrit import FamilyPreconditionUnmet, NotDeficient, NotRestorable
+from factorcrit.configurations import ResidualInstance, classify_residual
+
 # sha256 of the generated catalog of each order as a graph6 file, one line per
 # graph, recorded before the lex-min test and canonical labeling were merged
 # into one search: generation must keep both its bytes and its order.
@@ -14,3 +21,35 @@ GENERATION_GOLDEN = {
     8: "893777134adbbd8ea4c486ae6d4a42583fb8ae15f9dddeb5a1b623355edaa720",
     9: "21c4cafdf5a30e1412125f3e1c5d29fd85b77bc1b31396d3ccf5754b67785f4e",
 }
+
+# sha256 of the classification of every admissible residual instance built
+# on a catalog, recorded before the template branches became one table keyed
+# by the certificate's shape.  See ``classification_digest`` for the bytes.
+CLASSIFICATION_GOLDEN = {
+    6: ("c3426a4d87a53cdc86c3a1b094ac3da0956212d47d03de567581cdce0f8d246f", 286),  # A and C
+    8: ("5fa2d696d9ebb9eb379ea99c985d1d7d5a99ac43ecb0cf071dee179b53a4fb32", 4636),  # B
+}
+
+
+def classification_digest(graphs, families) -> tuple[str, int]:
+    """sha256 and count of the classified instances of ``graphs``.
+
+    Each graph in turn, each non-adjacent pair u < v, each family: when the
+    instance is admissible, it is classified as (u, v) and then as (v, u),
+    since the template may swap the endpoints.  Every classification adds
+    one line, ``json.dumps(match.to_json(), sort_keys=True)``.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for g in graphs:
+        for u, v in itertools.combinations(range(g.n), 2):
+            for family in families:
+                try:
+                    pair = [ResidualInstance(g, u, v, family), ResidualInstance(g, v, u, family)]
+                except (FamilyPreconditionUnmet, NotDeficient, NotRestorable):
+                    continue
+                for inst in pair:
+                    line = json.dumps(classify_residual(inst).to_json(), sort_keys=True)
+                    digest.update(line.encode() + b"\n")
+                    count += 1
+    return digest.hexdigest(), count

@@ -57,7 +57,7 @@ from factorcrit.errors import (
 )
 from factorcrit.matching import PerfectMatcher
 from factorcrit.verifiers import _has_path_of_three_edges
-from goldens import GENERATION_GOLDEN
+from goldens import CLASSIFICATION_GOLDEN, GENERATION_GOLDEN, classification_digest
 
 # Deselect with ``pytest -m "not acceptance"`` for a fast local loop.
 pytestmark = pytest.mark.acceptance
@@ -335,6 +335,18 @@ def test_criterion_8_configuration_completeness(lines):
                         f"provisional two-trivial-with-triple label count "
                         f"{counts['C'][C2_PRIME]}; ambiguity rate 0 at order 6, "
                         f"16/{admissible['B']} at order 8 ({elapsed:.0f}s, target 600s)")
+
+
+def test_criterion_8_classifications_match_recorded_digest(lines):
+    """Labels, roles, metadata and flags of every admissible order-8 family-B
+    instance, both orientations of each pair, as recorded before the
+    template table replaced the per-label branches."""
+    started = time.monotonic()
+    graphs = (parse_graph6(line) for line in lines[8])
+    digest, count = classification_digest(graphs, ("B",))
+    assert (digest, count) == CLASSIFICATION_GOLDEN[8]
+    _criterion(8, True, f"{count} order-8 classifications match the recorded digest "
+                        f"({time.monotonic() - started:.0f}s)")
 
 
 def test_criterion_9_ambient_predicates(sweeps):

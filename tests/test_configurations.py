@@ -19,7 +19,15 @@ from factorcrit import (
     residual_family,
     wheel_graph,
 )
-from factorcrit.configurations import C2_PRIME, FAMILY_LABELS, UNCLASSIFIED
+from factorcrit.configurations import (
+    C2_PRIME,
+    FAMILY_LABELS,
+    TEMPLATES,
+    UNCLASSIFIED,
+    ConfigurationMatch,
+)
+from factorcrit.matching import tutte_violators
+from goldens import CLASSIFICATION_GOLDEN, classification_digest
 
 
 def G(n, edges):
@@ -152,6 +160,23 @@ def test_completeness_order_6(catalog):
     # frozen tallies from the exhaustive run, guarding template drift
     assert counts["A"] == {"A1": 9, "A2": 5, "A3": 20}
     assert counts["C"] == {"C1": 19, "C2": 9, C2_PRIME: 7, "C3": 38, "C4": 36}
+
+
+def test_classifications_order_6_match_recorded_digest(catalog):
+    # Roles and metadata too, in both orientations of every designated pair.
+    assert classification_digest(catalog(6), ("A", "C")) == CLASSIFICATION_GOLDEN[6]
+
+
+def test_every_template_label_has_predicates():
+    # K_8 meets every family's degree hypothesis; with no witness vertices the
+    # residual indices are the ambient vertices, so the roles are distinct.
+    k8 = complete_graph(8)
+    cert = tutte_violators(TWO_TRIANGLES, "all-minimal")[0]
+    for (family, *_shape), (label, names) in TEMPLATES.items():  # every FAMILY_LABELS label
+        roles = dict(zip(["u", "v", *names.split()], range(8)))
+        match = ConfigurationMatch(label, family, 0, cert, roles, False)
+        report = config_predicates(k8, (0, 1), 0, match)
+        assert report.hypothesis_met and report.checks, (family, label)
 
 
 def test_residual_family_selection():

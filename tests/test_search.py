@@ -619,6 +619,14 @@ def test_hunt_builds_no_catalog_for_an_order_without_k(monkeypatch):
     assert built == [5, 6]
 
 
+def test_hunt_rejects_a_file_for_an_order_it_does_not_hunt(monkeypatch):
+    monkeypatch.setattr(search, "enumerate_catalog", lambda *a, **kw: pytest.fail("catalog built"))
+    with pytest.raises(PreconditionUnmet, match=r"orders \[9\]"):
+        hunt_counterexamples(range(4, 6), files={9: "/nonexistent.g6"})
+    with pytest.raises(PreconditionUnmet, match=r"orders \[3, 9\]"):
+        hunt_counterexamples([4, 6], k_rule=2, files={9: "a.g6", 3: "b.g6", 6: "c.g6"})
+
+
 def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):
     """The cap is the CPUs this process may run on, not the machine's count."""
     requested: list[int] = []
