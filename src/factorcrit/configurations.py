@@ -26,6 +26,14 @@ v.  C1 also reports the edges inside both components.
 
 Family A and B instances must have no pendent vertex after restoring uv;
 family C instances only need G' itself to have no isolated vertex.
+
+Each ``TEMPLATES`` value also bounds the size of the common
+non-neighbourhood of the endpoints u and v in the ambient graph, from below
+and above (None: no upper bound).  ``config_predicates`` checks these
+bounds once for every label, under a name made from them:
+``common_nonneighborhood_size_3`` when they are equal, ``..._at_most_1``
+when the lower one is 0, ``..._at_least_2`` when there is no upper one, and
+``..._between_3_and_4`` otherwise.
 """
 
 from __future__ import annotations
@@ -60,28 +68,30 @@ UNCLASSIFIED = "Unclassified"
 C2_PRIME = "C2'"
 
 # (family, |X|, odd component sizes, even component sizes, (|u's component|,
-# |v's component|)) -> (label, role names in the order of the role rule).
+# |v's component|)) -> (label, role names in the order of the role rule, the
+# least and the greatest size of the endpoints' common non-neighbourhood in
+# the ambient graph, None meaning no upper bound).
 TEMPLATES = {
-    (FAMILY_A, 0, (3, 3), (), (3, 3)): ("A1", "u1 u2 u3 u4"),
-    (FAMILY_A, 1, (1, 1, 3), (), (1, 1)): ("A2", "x v1 v2 v3"),
-    (FAMILY_A, 2, (1, 1, 1, 1), (), (1, 1)): ("A3", "x y w1 w2"),
-    (FAMILY_B, 0, (3, 5), (), (3, 5)): ("B1", "u1 u2 u3 u4 u5 u6"),
-    (FAMILY_B, 1, (1, 1, 3), (2,), (1, 1)): ("B2", "a v1 v2 v3 v4 v5"),
-    (FAMILY_B, 1, (1, 1, 5), (), (1, 1)): ("B3", "a v1 v2 v3 v4 v5"),
-    (FAMILY_B, 1, (1, 3, 3), (), (1, 3)): ("B4", "a x1 x2 x3 x4 x5"),
-    (FAMILY_B, 2, (1, 1, 1, 1), (2,), (1, 1)): ("B5", "a1 a2 y1 y2 y3 y4"),
-    (FAMILY_B, 2, (1, 1, 1, 3), (), (1, 1)): ("B6", "b1 b2 z1 z2 z3 z4"),
-    (FAMILY_B, 2, (1, 1, 1, 3), (), (1, 3)): ("B7", "c1 c2 p3 p4 p1 p2"),
-    (FAMILY_B, 3, (1, 1, 1, 1, 1), (), (1, 1)): ("B8", "a1 a2 a3 w1 w2 w3"),
-    (FAMILY_C, 0, (3, 3), (), (3, 3)): ("C1", "u1 u2 v1 v2"),
-    (FAMILY_C, 1, (1, 1, 1), (2,), (1, 1)): ("C2", "a w p1 p2"),
-    (FAMILY_C, 1, (1, 1, 3), (), (1, 1)): (C2_PRIME, "a v1 v2 v3"),
-    (FAMILY_C, 1, (1, 1, 3), (), (1, 3)): ("C3", "a y2 y3 y1"),
-    (FAMILY_C, 2, (1, 1, 1, 1), (), (1, 1)): ("C4", "a1 a2 w1 w2"),
+    (FAMILY_A, 0, (3, 3), (), (3, 3)): ("A1", "u1 u2 u3 u4", 0, 1),
+    (FAMILY_A, 1, (1, 1, 3), (), (1, 1)): ("A2", "x v1 v2 v3", 3, 3),
+    (FAMILY_A, 2, (1, 1, 1, 1), (), (1, 1)): ("A3", "x y w1 w2", 2, None),
+    (FAMILY_B, 0, (3, 5), (), (3, 5)): ("B1", "u1 u2 u3 u4 u5 u6", 0, 3),
+    (FAMILY_B, 1, (1, 1, 3), (2,), (1, 1)): ("B2", "a v1 v2 v3 v4 v5", 5, 5),
+    (FAMILY_B, 1, (1, 1, 5), (), (1, 1)): ("B3", "a v1 v2 v3 v4 v5", 5, 5),
+    (FAMILY_B, 1, (1, 3, 3), (), (1, 3)): ("B4", "a x1 x2 x3 x4 x5", 3, 4),
+    (FAMILY_B, 2, (1, 1, 1, 1), (2,), (1, 1)): ("B5", "a1 a2 y1 y2 y3 y4", 4, None),
+    (FAMILY_B, 2, (1, 1, 1, 3), (), (1, 1)): ("B6", "b1 b2 z1 z2 z3 z4", 4, None),
+    (FAMILY_B, 2, (1, 1, 1, 3), (), (1, 3)): ("B7", "c1 c2 p3 p4 p1 p2", 2, 4),
+    (FAMILY_B, 3, (1, 1, 1, 1, 1), (), (1, 1)): ("B8", "a1 a2 a3 w1 w2 w3", 3, None),
+    (FAMILY_C, 0, (3, 3), (), (3, 3)): ("C1", "u1 u2 v1 v2", 0, 2),
+    (FAMILY_C, 1, (1, 1, 1), (2,), (1, 1)): ("C2", "a w p1 p2", 3, 3),
+    (FAMILY_C, 1, (1, 1, 3), (), (1, 1)): (C2_PRIME, "a v1 v2 v3", 3, 3),
+    (FAMILY_C, 1, (1, 1, 3), (), (1, 3)): ("C3", "a y2 y3 y1", 1, 2),
+    (FAMILY_C, 2, (1, 1, 1, 1), (), (1, 1)): ("C4", "a1 a2 w1 w2", 2, 3),
 }
 
 FAMILY_LABELS = {
-    family: tuple(label for key, (label, _names) in TEMPLATES.items() if key[0] == family)
+    family: tuple(label for key, (label, *_) in TEMPLATES.items() if key[0] == family)
     for family in FAMILIES
 }
 
@@ -184,7 +194,7 @@ def _match_template(
            tuple(s for s in sizes if not s & 1), (ub.bit_count(), vb.bit_count()))
     if key not in TEMPLATES:
         return unmatched
-    label, names = TEMPLATES[key]
+    label, names = TEMPLATES[key][:2]
     xs = bits_list(cert.x_set)
     # The other odd components by (size, least vertex), then the even one.
     rest = sorted((b for b in blocks if b not in (ub, vb)),
@@ -348,7 +358,11 @@ def config_predicates(
     g: Graph, e: tuple[int, int], s_mask: int, match: ConfigurationMatch
 ) -> PredicateReport:
     """Check the non-neighborhood, degree, and independence predicates that the
-    configuration label imposes on the ambient graph."""
+    configuration label imposes on the ambient graph.
+
+    The first check bounds the size of the endpoints' common
+    non-neighbourhood by the label's ``TEMPLATES`` entry; the label's own
+    role-set and degree checks follow."""
     n = g.n
     family = match.family
     u0, v0 = e
@@ -365,68 +379,58 @@ def config_predicates(
     roles = {name: kept[idx] for name, idx in match.roles.items()}
     ru, rv = roles["u"], roles["v"]
     common = non_neighborhood(g, ru) & non_neighborhood(g, rv)
-    size = common.bit_count()
     checks: list[PredicateCheck] = []
 
     def add(name: str, passed: bool) -> None:
         checks.append(PredicateCheck(name, passed))
 
     label = match.label
-    if label == "A1":
-        add("common_nonneighborhood_at_most_1", size <= 1)
-    elif label == "A2":
+    lo, hi = next(entry[2:] for entry in TEMPLATES.values() if entry[0] == label)
+    if lo == hi:
+        bound = f"size_{lo}"
+    elif hi is None:
+        bound = f"at_least_{lo}"
+    else:
+        bound = f"between_{lo}_and_{hi}" if lo else f"at_most_{hi}"
+    add(f"common_nonneighborhood_{bound}", lo <= common.bit_count() <= (n if hi is None else hi))
+    if label == "A2":
         triple = mask_from(roles[r] for r in ("v1", "v2", "v3"))
-        add("common_nonneighborhood_size_3", size == 3)
         add("common_nonneighborhood_is_residual_triple", common == triple)
     elif label == "A3":
         w_pair = mask_from((roles["w1"], roles["w2"]))
-        add("common_nonneighborhood_at_least_2", size >= 2)
         add("w_pair_in_common_nonneighborhood", common & w_pair == w_pair)
         add("w_pair_nonadjacent", not g.has_edge(roles["w1"], roles["w2"]))
-    elif label == "B1":
-        add("common_nonneighborhood_at_most_3", size <= 3)
-    elif label in ("B2", "B3"):
-        add("common_nonneighborhood_size_5", size == 5)
     elif label == "B4":
         five = mask_from(roles[r] for r in ("x1", "x2", "x3", "x4", "x5"))
         tail = mask_from(roles[r] for r in ("x3", "x4", "x5"))
         add("u_nonneighborhood_is_residual_five", non_neighborhood(g, ru) == five)
         add("x345_outside_v_neighborhood", non_neighborhood(g, rv) & tail == tail)
         add("v_adjacent_to_x1_or_x2", g.has_edge(rv, roles["x1"]) or g.has_edge(rv, roles["x2"]))
-        add("common_nonneighborhood_between_3_and_4", 3 <= size <= 4)
-    elif label in ("B5", "B6"):
-        add("common_nonneighborhood_at_least_4", size >= 4)
     elif label == "B7":
         quad = mask_from(roles[r] for r in ("p1", "p2", "p3", "p4"))
         pair = mask_from((roles["p1"], roles["p2"]))
         add("p_quad_outside_u_neighborhood", non_neighborhood(g, ru) & quad == quad)
         add("p12_outside_v_neighborhood", non_neighborhood(g, rv) & pair == pair)
         add("v_adjacent_to_p3_or_p4", g.has_edge(rv, roles["p3"]) or g.has_edge(rv, roles["p4"]))
-        add("common_nonneighborhood_between_2_and_4", 2 <= size <= 4)
     elif label == "B8":
         triple = mask_from(roles[r] for r in ("w1", "w2", "w3"))
         ws = [roles["w1"], roles["w2"], roles["w3"]]
         independent = not any(
             g.has_edge(a, b) for i, a in enumerate(ws) for b in ws[i + 1:]
         )
-        add("common_nonneighborhood_at_least_3", size >= 3)
         add("w_triple_in_common_nonneighborhood", common & triple == triple)
         add("w_triple_independent", independent)
     elif label == "C1":
         shared = (g.adj[ru] & g.adj[rv]).bit_count()
-        add("common_nonneighborhood_at_most_2", size <= 2)
         add("endpoint_degrees_in_range", all(n - 4 <= g.degree(w) <= n - 3 for w in (ru, rv)))
         add("shared_neighbors_at_most_n_minus_6", shared <= n - 6)
     elif label in ("C2", C2_PRIME):
-        add("common_nonneighborhood_size_3", size == 3)
         add("endpoint_degrees_equal_n_minus_4", g.degree(ru) == n - 4 and g.degree(rv) == n - 4)
     elif label == "C3":
-        add("common_nonneighborhood_between_1_and_2", 1 <= size <= 2)
         add("trivial_endpoint_degree_n_minus_4", g.degree(ru) == n - 4)
         add("nontrivial_endpoint_degree_at_least_n_minus_4", g.degree(rv) >= n - 4)
         add("spare_vertex_degree_n_minus_5", g.degree(roles["y1"]) == n - 5)
     elif label == "C4":
-        add("common_nonneighborhood_between_2_and_3", 2 <= size <= 3)
         add("endpoint_degrees_in_range", all(n - 4 <= g.degree(w) <= n - 3 for w in (ru, rv)))
         add("w_pair_independent", not g.has_edge(roles["w1"], roles["w2"]))
     return PredicateReport(label, family, True, tuple(checks))

@@ -236,9 +236,10 @@ def minimality_witness(g: Graph, k: int, e: tuple[int, int]) -> int | None:
     precondition is checked lazily: only when no witness exists, since a
     found witness needs no such backing to be verifiable.
     """
-    for s_mask in iter_minimality_witnesses(g, k, e):
+    matcher = PerfectMatcher(g)
+    for s_mask in _edge_witnesses(g, k, e, matcher):
         return s_mask
-    if not is_k_factor_critical(g, k).verdict:
+    if not is_k_factor_critical(g, k, matcher).verdict:
         raise NotCritical(f"graph is not {k}-factor-critical")
     return None
 
@@ -289,12 +290,13 @@ def downward_criticality_check(
     _validate_k(g, k)
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
-    if not is_k_factor_critical(g, k).verdict:
+    matcher = PerfectMatcher(g)
+    if not is_k_factor_critical(g, k, matcher).verdict:
         raise PreconditionUnmet(f"graph is not {k}-factor-critical")
     conn = connectivity(g)
     ok = conn.vertex >= k and conn.edge >= k + 1
     if ok and k >= 2:
-        ok = is_k_factor_critical(g, k - 2).verdict
+        ok = is_k_factor_critical(g, k - 2, matcher).verdict
     if not ok and raise_on_violation:
         raise TheoremViolated(
             f"{k}-factor-critical graph fails connectivity/downward clauses "

@@ -808,10 +808,10 @@ def hunt_counterexamples(
 
     ``k_rule`` is either "all-valid" or an offset c meaning k = n - c.
     Orders with a supplied file are ingested, the rest generated; an order
-    that the rule gives no valid k is skipped unread.  A file for an order
-    outside ``orders`` raises ``PreconditionUnmet`` before any catalog is
-    built.  When no order has a valid k, ``KOutOfRange`` names the orders
-    and the rule.
+    that the rule gives no valid k is not surveyed.  A file for an order
+    that is not surveyed, outside ``orders`` or without a valid k, raises
+    ``PreconditionUnmet`` before any catalog is built.  When no order has a
+    valid k, ``KOutOfRange`` names the orders and the rule.
 
     ``invert_predicate`` is a self-test that failures surface: after each
     k's survey, every minimal graph on which the minimum-degree statement
@@ -826,9 +826,9 @@ def hunt_counterexamples(
     else:
         sweeps = [(n, valid_k_values(n)) for n in orders]
         rule = "all valid k"
-    stray = sorted(set(files) - {n for n, _ks in sweeps})
+    stray = sorted(set(files) - {n for n, ks in sweeps if ks})
     if stray:
-        raise PreconditionUnmet(f"catalog files given for orders {stray}, which are not hunted")
+        raise PreconditionUnmet(f"catalog files given for orders {stray}, which are not surveyed")
     if not any(ks for _n, ks in sweeps):
         if isinstance(orders, range) and orders.step == 1:
             shown = f"{orders.start}..{orders.stop - 1}"

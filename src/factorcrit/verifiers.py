@@ -6,6 +6,11 @@ all (most carry order gates), and a checkable witness on failure.  Checkers
 for statements that are proven on their whole domain are expected-true: a
 failing verdict on such a domain means an implementation bug or a genuine
 counterexample, and sweeps escalate it as TheoremViolated.
+
+The degree-class statements (C2.7, T5.3-T5.5) read a class, the vertices of
+one degree, through ``_of_degree``.  C2.7, T5.3 and T5.4 test it with
+``_independent`` and a condition on the degree profile; T5.5 looks for a
+3-edge path inside it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotCritical, NotMinimallyCritical, OrderTooSmall, PreconditionUnmet
-from .graph import Graph, bits_list, degree_profile, is_claw_free
+from .graph import Graph, degree_profile, is_claw_free, iter_bits, mask_from
 from .criticality import is_k_factor_critical, is_minimally_kfc
 
 DEGREE_BOUND = "T1.1"
@@ -147,6 +152,16 @@ def _star_structure_verdict(g: Graph, k: int, minimal: bool) -> TheoremVerdict:
     return TheoremVerdict(STAR_STRUCTURE, True, passed, witness)
 
 
+def _of_degree(g: Graph, d: int) -> list[int]:
+    """The vertices of degree d, ascending."""
+    return [v for v in range(g.n) if g.degree(v) == d]
+
+
+def _independent(g: Graph, vs: list[int]) -> bool:
+    """Whether no two of ``vs`` are adjacent."""
+    return not any(g.has_edge(a, b) for a, b in combinations(vs, 2))
+
+
 def check_two_maxdeg_nonadjacent(g: Graph, k: int, verified: bool = False) -> TheoremVerdict:
     """A minimally k-factor-critical graph of order at least k+5 has at most
     two vertices of degree n-2, and no two of them adjacent."""
@@ -154,27 +169,19 @@ def check_two_maxdeg_nonadjacent(g: Graph, k: int, verified: bool = False) -> Th
     n = g.n
     if n < k + 5:
         return TheoremVerdict(TWO_MAXDEG, False, None)
-    high = [v for v in range(n) if g.degree(v) == n - 2]
-    passed = len(high) <= 2 and not any(
-        g.has_edge(a, b) for a, b in combinations(high, 2)
-    )
+    high = _of_degree(g, n - 2)
+    passed = len(high) <= 2 and _independent(g, high)
     witness = None if passed else {"degree_n_minus_2_vertices": high}
     return TheoremVerdict(TWO_MAXDEG, True, passed, witness)
 
 
 def _has_path_of_three_edges(g: Graph, allowed: list[int]) -> list[int] | None:
     """A 4-vertex path (3 edges) inside ``allowed``, or None."""
-    allowed_set = set(allowed)
+    inside = mask_from(allowed)
     for b in allowed:
-        for c in bits_list(g.adj[b]):
-            if c not in allowed_set:
-                continue
-            for a in bits_list(g.adj[b]):
-                if a in (b, c) or a not in allowed_set:
-                    continue
-                for d in bits_list(g.adj[c]):
-                    if d in (a, b, c) or d not in allowed_set:
-                        continue
+        for c in iter_bits(g.adj[b] & inside):
+            for a in iter_bits(g.adj[b] & inside & ~(1 << c)):
+                for d in iter_bits(g.adj[c] & inside & ~(1 << a | 1 << b)):
                     return [a, b, c, d]
     return None
 
@@ -184,10 +191,11 @@ def check_maxdeg_profile(g: Graph, verified: bool = False) -> TheoremVerdict:
     dispatched on the maximum degree.
 
     A universal vertex hands off to the star-structure statement.  At
-    max degree n-2 (order >= 8): at most two such vertices, nonadjacent, with
-    the residual profile pinned.  At n-3 (order >= 9): at most three, pairwise
-    nonadjacent when three, rest at n-5.  At n-4 and below (order >= 11): at
-    most four vertices of degree n-4 and no 3-edge path through four of them.
+    max degree n-2 (order >= 8): h <= 2 such vertices, nonadjacent, and
+    exactly n-2 vertices of degree n-5 and 2-h of degree n-4.  At n-3
+    (order >= 9): at most three, and when three, pairwise nonadjacent with
+    the other n-3 vertices at n-5.  At n-4 and below (order >= 11): at most
+    four vertices of degree n-4 and no 3-edge path through four of them.
     """
     n = g.n
     k = n - 6
@@ -205,32 +213,24 @@ def check_maxdeg_profile(g: Graph, verified: bool = False) -> TheoremVerdict:
     if delta_max == n - 2:
         if n < 8:
             return TheoremVerdict(MAXDEG_N2_PROFILE, False, None)
-        high = [v for v in range(n) if g.degree(v) == n - 2]
-        ok = len(high) <= 2 and not any(
-            g.has_edge(a, b) for a, b in combinations(high, 2)
-        )
-        if ok and len(high) == 2:
-            ok = all(g.degree(v) == n - 5 for v in range(n) if v not in high)
-        elif ok and len(high) == 1:
-            ok = profile.get(n - 4, 0) == 1 and profile.get(n - 5, 0) == n - 2
+        high = _of_degree(g, n - 2)
+        ok = (len(high) <= 2 and _independent(g, high) and profile.get(n - 5, 0) == n - 2
+              and profile.get(n - 4, 0) == 2 - len(high))
         witness = None if ok else {"profile": profile, "high": high}
         return TheoremVerdict(MAXDEG_N2_PROFILE, True, ok, witness)
 
     if delta_max == n - 3:
         if n < 9:
             return TheoremVerdict(MAXDEG_N3_PROFILE, False, None)
-        high = [v for v in range(n) if g.degree(v) == n - 3]
-        ok = len(high) <= 3
-        if ok and len(high) == 3:
-            ok = not any(g.has_edge(a, b) for a, b in combinations(high, 2)) and all(
-                g.degree(v) == n - 5 for v in range(n) if v not in high
-            )
+        high = _of_degree(g, n - 3)
+        ok = len(high) < 3 or (len(high) == 3 and _independent(g, high)
+                               and profile.get(n - 5, 0) == n - 3)
         witness = None if ok else {"profile": profile, "high": high}
         return TheoremVerdict(MAXDEG_N3_PROFILE, True, ok, witness)
 
     if n < 11:
         return TheoremVerdict(MAXDEG_N4_PROFILE, False, None)
-    mid = [v for v in range(n) if g.degree(v) == n - 4]
+    mid = _of_degree(g, n - 4)
     bad_path = _has_path_of_three_edges(g, mid)
     ok = len(mid) <= 4 and bad_path is None
     witness = None if ok else {"profile": profile, "path": bad_path}

@@ -3,9 +3,24 @@
 import hashlib
 import itertools
 import json
+import random
 
-from factorcrit import FamilyPreconditionUnmet, NotDeficient, NotRestorable
-from factorcrit.configurations import ResidualInstance, classify_residual
+from factorcrit import (
+    FamilyPreconditionUnmet,
+    Graph,
+    NotDeficient,
+    NotRestorable,
+    check_maxdeg_profile,
+    check_two_maxdeg_nonadjacent,
+    config_predicates,
+)
+from factorcrit.configurations import (
+    TEMPLATES,
+    ConfigurationMatch,
+    ResidualInstance,
+    classify_residual,
+)
+from factorcrit.matching import tutte_violators
 
 # sha256 of the generated catalog of each order as a graph6 file, one line per
 # graph, recorded before the lex-min test and canonical labeling were merged
@@ -31,6 +46,31 @@ CLASSIFICATION_GOLDEN = {
 }
 
 
+# sha256 and count of ``predicates_digest`` over the order-8 catalog, and of
+# ``verdicts_digest`` over each order's catalog and over ``random_graphs()``,
+# recorded before the statement checkers read their degree classes through
+# one helper and the template table gained the common non-neighbourhood
+# bounds.
+PREDICATES_GOLDEN = ("8420d492f5891b142e2b04cb68a0472dcc3ccc26cf315d8d64262d3d84c52b3d", 197536)
+VERDICTS_GOLDEN = {
+    7: ("29d7e9b90e88172901b78e5ab21b709169d8092b173ea4e85b59b9f018e91fb6", 2088),
+    8: ("0d627dc9dd749a49eaddca136ea76259873cd7eb3c4b74c6822bba4edf052cb3", 24692),
+    9: ("71fabeb2b2360419f624aed9aa523b07015f66113f044f28f426fb0e1394154d", 549336),
+    "random": ("e56bc709d5f0adc88b7e02557055960261db6beed58ed32e0a65232a1a042da6", 12000),
+}
+
+
+def _digest(results) -> tuple[str, int]:
+    """sha256 and count of ``results``, one line per result:
+    ``json.dumps(result.to_json(), sort_keys=True)``."""
+    digest = hashlib.sha256()
+    count = 0
+    for result in results:
+        digest.update(json.dumps(result.to_json(), sort_keys=True).encode() + b"\n")
+        count += 1
+    return digest.hexdigest(), count
+
+
 def classification_digest(graphs, families) -> tuple[str, int]:
     """sha256 and count of the classified instances of ``graphs``.
 
@@ -39,17 +79,58 @@ def classification_digest(graphs, families) -> tuple[str, int]:
     since the template may swap the endpoints.  Every classification adds
     one line, ``json.dumps(match.to_json(), sort_keys=True)``.
     """
-    digest = hashlib.sha256()
-    count = 0
-    for g in graphs:
-        for u, v in itertools.combinations(range(g.n), 2):
-            for family in families:
-                try:
-                    pair = [ResidualInstance(g, u, v, family), ResidualInstance(g, v, u, family)]
-                except (FamilyPreconditionUnmet, NotDeficient, NotRestorable):
-                    continue
-                for inst in pair:
-                    line = json.dumps(classify_residual(inst).to_json(), sort_keys=True)
-                    digest.update(line.encode() + b"\n")
-                    count += 1
-    return digest.hexdigest(), count
+    def instances():
+        for g in graphs:
+            for u, v in itertools.combinations(range(g.n), 2):
+                for family in families:
+                    try:
+                        pair = [ResidualInstance(g, u, v, family), ResidualInstance(g, v, u, family)]
+                    except (FamilyPreconditionUnmet, NotDeficient, NotRestorable):
+                        continue
+                    yield from pair
+
+    return _digest(classify_residual(inst) for inst in instances())
+
+
+def predicates_digest(graphs) -> tuple[str, int]:
+    """sha256 and count of the predicate reports of every ``TEMPLATES`` label
+    on each graph in turn, labels in table order.
+
+    Each report is ``config_predicates(g, (0, 1), 0, match)`` with the roles
+    u = 0, v = 1 and the label's role names on 2, 3, ...; the certificate,
+    which the predicates do not read, is a fixed one.
+    """
+    two_triangles = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    cert = tutte_violators(two_triangles, "all-minimal")[0]
+    matches = [
+        ConfigurationMatch(label, family, 0, cert,
+                           dict(zip(["u", "v", *names.split()], range(8))), False)
+        for (family, *_shape), (label, names, _lo, _hi) in TEMPLATES.items()
+    ]
+    return _digest(config_predicates(g, (0, 1), 0, match) for g in graphs for match in matches)
+
+
+def verdicts_digest(graphs) -> tuple[str, int]:
+    """sha256 and count of the two verdicts of each graph in turn:
+    ``check_maxdeg_profile`` and then ``check_two_maxdeg_nonadjacent`` at
+    k = n - 6, both with minimality vouched for, whatever the graph."""
+    return _digest(
+        verdict for g in graphs
+        for verdict in (check_maxdeg_profile(g, verified=True),
+                        check_two_maxdeg_nonadjacent(g, g.n - 6, verified=True))
+    )
+
+
+def random_graphs() -> list[Graph]:
+    """3000 graphs of order 11, then 3000 of order 12, from one
+    ``random.Random(15)``; each graph draws its own edge probability from
+    U(0.5, 0.95).  Their maximum degrees reach every branch of
+    ``check_maxdeg_profile``, T5.5 included."""
+    rng = random.Random(15)
+    graphs = []
+    for n in (11, 12):
+        for _ in range(3000):
+            p = rng.uniform(0.5, 0.95)
+            graphs.append(Graph.from_edges(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    return graphs

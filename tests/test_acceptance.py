@@ -57,7 +57,13 @@ from factorcrit.errors import (
 )
 from factorcrit.matching import PerfectMatcher
 from factorcrit.verifiers import _has_path_of_three_edges
-from goldens import CLASSIFICATION_GOLDEN, GENERATION_GOLDEN, classification_digest
+from goldens import (
+    CLASSIFICATION_GOLDEN,
+    GENERATION_GOLDEN,
+    VERDICTS_GOLDEN,
+    classification_digest,
+    verdicts_digest,
+)
 
 # Deselect with ``pytest -m "not acceptance"`` for a fast local loop.
 pytestmark = pytest.mark.acceptance
@@ -283,6 +289,18 @@ def test_criterion_7_maxdeg_profiles_and_parity(sweeps):
     _criterion(7, True, f"profiles exhaustive at (8,2) and (9,3); order-11/12 "
                         f"constructions verified; parity fact on {parity_checked} "
                         f"minimal graphs")
+
+
+def test_criterion_7_verdicts_match_recorded_digest(lines9):
+    """The T5.3, T5.4 and C2.7 verdicts, failing ones and their witnesses
+    included, of every order-9 graph, as recorded before the checkers read
+    their degree classes through one helper.  Order 9 is the only catalog
+    order where T5.4 applies."""
+    started = time.monotonic()
+    digest = verdicts_digest(parse_graph6(line) for line in lines9)
+    assert digest == VERDICTS_GOLDEN[9]
+    _criterion(7, True, f"{digest[1]} order-9 verdicts match the recorded digest "
+                        f"({time.monotonic() - started:.0f}s)")
 
 
 def test_criterion_8_configuration_completeness(lines):

@@ -263,6 +263,9 @@ def test_hunt_catalog_outside_the_orders_or_given_twice_exits_2(capsys):
     code, out, err = run_cli(["hunt", "--n-from", "4", "--n-to", "5", "--catalog", "9=a.g6",
                               "--jobs", "1"], capsys=capsys)
     assert code == 2 and out == "" and "orders [9]" in err
+    code, out, err = run_cli(["hunt", "--n-from", "4", "--n-to", "5", "--offset", "4",
+                              "--catalog", "4=/nonexistent.g6", "--jobs", "1"], capsys=capsys)
+    assert code == 2 and out == "" and "orders [4]" in err
     code, out, err = run_cli(["hunt", "--n-from", "4", "--n-to", "5", "--catalog", "5=a.g6",
                               "--catalog", "5=b.g6", "--jobs", "1"], capsys=capsys)
     assert code == 2 and out == "" and "order 5 twice" in err

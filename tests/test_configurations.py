@@ -27,7 +27,12 @@ from factorcrit.configurations import (
     ConfigurationMatch,
 )
 from factorcrit.matching import tutte_violators
-from goldens import CLASSIFICATION_GOLDEN, classification_digest
+from goldens import (
+    CLASSIFICATION_GOLDEN,
+    PREDICATES_GOLDEN,
+    classification_digest,
+    predicates_digest,
+)
 
 
 def G(n, edges):
@@ -172,11 +177,16 @@ def test_every_template_label_has_predicates():
     # residual indices are the ambient vertices, so the roles are distinct.
     k8 = complete_graph(8)
     cert = tutte_violators(TWO_TRIANGLES, "all-minimal")[0]
-    for (family, *_shape), (label, names) in TEMPLATES.items():  # every FAMILY_LABELS label
+    for (family, *_shape), (label, names, _lo, _hi) in TEMPLATES.items():  # every FAMILY_LABELS label
         roles = dict(zip(["u", "v", *names.split()], range(8)))
         match = ConfigurationMatch(label, family, 0, cert, roles, False)
         report = config_predicates(k8, (0, 1), 0, match)
         assert report.hypothesis_met and report.checks, (family, label)
+
+
+def test_predicates_order_8_match_recorded_digest(catalog):
+    # Every label's checks on every order-8 graph, failing ones included.
+    assert predicates_digest(catalog(8)) == PREDICATES_GOLDEN
 
 
 def test_residual_family_selection():

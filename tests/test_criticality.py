@@ -36,7 +36,7 @@ from factorcrit import (
 )
 from factorcrit.criticality import _has_table_witness, kfc_and_minimal
 from factorcrit.graph import bits_list
-from factorcrit.matching import TABLE_MAX_ORDER, matchable_sets, subset_masks
+from factorcrit.matching import TABLE_MAX_ORDER, PerfectMatcher, matchable_sets, subset_masks
 
 
 def _valid_ks(n: int, start: int = 0) -> list[int]:
@@ -147,6 +147,24 @@ def test_minimality_witness_lazy_precondition():
     # contains (0, 1), so the non-critical cycle still yields a witness.
     found = minimality_witness(cycle_graph(6), 2, (0, 1))
     assert bits_list(found) == [2, 3]
+
+
+def test_one_matcher_per_graph(monkeypatch):
+    """The lazy criticality check of a witness search, and the k - 2 test
+    of the downward check, ask the matcher already built for the graph."""
+    built: list[PerfectMatcher] = []
+    original = PerfectMatcher.__init__
+
+    def counting(self, g):
+        built.append(self)
+        original(self, g)
+
+    monkeypatch.setattr(PerfectMatcher, "__init__", counting)
+    assert minimality_witness(complete_graph(6), 2, (0, 1)) is None
+    assert len(built) == 1
+    built.clear()
+    assert downward_criticality_check(complete_graph(8), 4)
+    assert len(built) == 1
 
 
 def test_witness_iff_edge_removal_destroys_criticality(catalog):

@@ -556,7 +556,8 @@ def test_hunt_self_test_plants_are_pinned(tmp_path: Path, catalog, jobs):
         Path(files[n]).write_text("".join(encode_graph6(g) + "\n" for g in catalog(n)))
     expected = {c: [(line, "C1.2") for line in lines] for c, lines in SELF_TEST_PLANTS.items()}
     for c, plants in expected.items():
-        assert hunt_counterexamples(range(3, 9), k_rule=c, files=files, jobs=jobs,
+        surveyed = {n: path for n, path in files.items() if n - c >= 1}  # k = n - c is valid
+        assert hunt_counterexamples(range(3, 9), k_rule=c, files=surveyed, jobs=jobs,
                                     invert_predicate=True) == plants
     # all valid k per order, ascending: offsets 6, 4 and 2 in turn
     by_order = [(line, theorem) for n in range(3, 9) for c in (6, 4, 2)
@@ -625,6 +626,9 @@ def test_hunt_rejects_a_file_for_an_order_it_does_not_hunt(monkeypatch):
         hunt_counterexamples(range(4, 6), files={9: "/nonexistent.g6"})
     with pytest.raises(PreconditionUnmet, match=r"orders \[3, 9\]"):
         hunt_counterexamples([4, 6], k_rule=2, files={9: "a.g6", 3: "b.g6", 6: "c.g6"})
+    # Order 4 is hunted, but k = n - 4 = 0 is not valid there.
+    with pytest.raises(PreconditionUnmet, match=r"orders \[4\]"):
+        hunt_counterexamples(range(4, 6), k_rule=4, files={4: "/nonexistent.g6"})
 
 
 def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):

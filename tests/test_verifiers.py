@@ -20,6 +20,7 @@ from factorcrit import (
     wheel_graph,
 )
 from factorcrit.verifiers import _has_path_of_three_edges
+from goldens import VERDICTS_GOLDEN, random_graphs, verdicts_digest
 
 
 def test_degree_bounds_examples():
@@ -94,6 +95,14 @@ def test_path_of_three_edges_helper():
     assert _has_path_of_three_edges(triangle, [0, 1, 2]) is None
     k4 = complete_graph(4)
     assert _has_path_of_three_edges(k4, [0, 1, 2, 3]) is not None
+
+
+def test_maxdeg_verdicts_match_recorded_digest(catalog):
+    # Passing and failing verdicts with their witnesses, on every graph of
+    # orders 7 and 8 and on random graphs that reach T5.5.
+    for n in (7, 8):
+        assert verdicts_digest(catalog(n)) == VERDICTS_GOLDEN[n], n
+    assert verdicts_digest(random_graphs()) == VERDICTS_GOLDEN["random"]
 
 
 def test_minimal_verdicts_bundle():
