@@ -219,7 +219,10 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.gen is not None:
         catalog = enumerate_catalog(args.gen)
     else:
-        catalog = enumerate_catalog(args.n, path=args.file, lenient=args.lenient)
+        bad: list[tuple[int, str]] = []
+        catalog = enumerate_catalog(args.n, path=args.file, lenient=args.lenient, bad=bad)
+        for lineno, message in bad:
+            print(f"{args.file}:{lineno}: skipped: {message}", file=sys.stderr)
     report = survey(catalog, args.k, jobs=args.jobs, jsonl_path=args.jsonl,
                     skip=args.resume_lines)
     payload = report.to_json()

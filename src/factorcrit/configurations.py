@@ -52,6 +52,7 @@ from .graph import (
     add_edge,
     bits_list,
     delete_vertices,
+    is_independent,
     mask_from,
     non_neighborhood,
     remove_edge,
@@ -414,12 +415,8 @@ def config_predicates(
         add("v_adjacent_to_p3_or_p4", g.has_edge(rv, roles["p3"]) or g.has_edge(rv, roles["p4"]))
     elif label == "B8":
         triple = mask_from(roles[r] for r in ("w1", "w2", "w3"))
-        ws = [roles["w1"], roles["w2"], roles["w3"]]
-        independent = not any(
-            g.has_edge(a, b) for i, a in enumerate(ws) for b in ws[i + 1:]
-        )
         add("w_triple_in_common_nonneighborhood", common & triple == triple)
-        add("w_triple_independent", independent)
+        add("w_triple_independent", is_independent(g, triple))
     elif label == "C1":
         shared = (g.adj[ru] & g.adj[rv]).bit_count()
         add("endpoint_degrees_in_range", all(n - 4 <= g.degree(w) <= n - 3 for w in (ru, rv)))

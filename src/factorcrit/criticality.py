@@ -33,7 +33,6 @@ themselves, lexicographically first, still come from the matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -51,7 +50,7 @@ from .graph import (
     bits_list,
     connectivity,
     iter_bits,
-    mask_from,
+    k_sets,
 )
 from .matching import TABLE_MAX_ORDER, PerfectMatcher, matchable_sets, subset_masks
 
@@ -119,8 +118,7 @@ def is_k_factor_critical(
     if matcher is None:
         matcher = PerfectMatcher(g)
     full = g.vertex_mask
-    for subset in combinations(range(g.n), k):
-        s_mask = mask_from(subset)
+    for s_mask in k_sets(full, k):
         if not matcher.pm_exists(full & ~s_mask):
             return CriticalityReport(k, False, s_mask, METHOD_DEFINITIONAL)
     return CriticalityReport(k, True, None, METHOD_DEFINITIONAL)
@@ -219,9 +217,7 @@ def _edge_witnesses(g: Graph, k: int, e: tuple[int, int], matcher: PerfectMatche
     full = g.vertex_mask
     u_bit = 1 << u
     partners = g.adj[u] & ~(1 << v)
-    others = [w for w in range(g.n) if w != u and w != v]
-    for subset in combinations(others, k):
-        s_mask = mask_from(subset)
+    for s_mask in k_sets(full & ~(u_bit | 1 << v), k):
         rest = full & ~s_mask
         if matcher.pm_exists(rest) and not any(
             matcher.pm_exists(rest & ~(u_bit | 1 << w)) for w in iter_bits(partners & rest)

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EdgeAbsent,
     EdgePresent,
+    LimitExceeded,
     MalformedEncoding,
     OrderTooSmall,
     PreconditionUnmet,
@@ -29,6 +31,12 @@ from .errors import (
 
 MAX_ORDER = 62
 GRAPH6_HEADER = ">>graph6<<"
+# Most vertex subsets one sweep may visit.  With Python 3.11 on one CPU of a
+# 2-CPU machine, the k-factor-critical test of K_22 at k = 10 visits 646646
+# sets in 0.9-1.3 s with a 99 MB peak; K_20 at k = 10 visits 184756 in 0.2 s
+# with 38 MB.  The largest size ``tutte_violators`` sweeps, C(19, 9), and all
+# 2^19 subsets of 19 vertices fit below it.
+SUBSET_BUDGET = 10**6
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -48,6 +56,24 @@ def mask_from(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def check_subset_budget(count: int) -> None:
+    """Raise ``LimitExceeded`` when a sweep of ``count`` vertex subsets
+    exceeds ``SUBSET_BUDGET``; a sweep calls it before its first subset."""
+    if count > SUBSET_BUDGET:
+        raise LimitExceeded(f"a sweep of {count} vertex subsets exceeds the budget of {SUBSET_BUDGET}")
+
+
+def k_sets(pool: int, k: int) -> Iterator[int]:
+    """The k-vertex subsets of the vertex mask ``pool``, as masks, in the
+    lexicographic order of their ascending vertex lists, the order of
+    ``itertools.combinations``: the first failing set a sweep reports is
+    the lexicographically first.  No set when k exceeds the pool's size, one
+    empty set when k is 0.  Raises ``LimitExceeded`` at once when there are more
+    than ``SUBSET_BUDGET`` of them."""
+    check_subset_budget(comb(pool.bit_count(), k))
+    return map(sum, combinations([1 << v for v in iter_bits(pool)], k))
 
 
 @dataclass(frozen=True)
@@ -259,6 +285,11 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     rows[u] |= 1 << v
     rows[v] |= 1 << u
     return Graph._trusted(g.n, tuple(rows))
+
+
+def is_independent(g: Graph, mask: int) -> bool:
+    """Whether no two vertices of the mask are adjacent in ``g``."""
+    return not any(g.adj[v] & mask for v in iter_bits(mask))
 
 
 def is_claw_free(g: Graph) -> bool:

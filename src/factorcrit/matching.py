@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import EdgeAbsent, LimitExceeded, PreconditionUnmet
@@ -34,6 +33,7 @@ from .graph import (
     _odd_component_count,
     bits_list,
     iter_bits,
+    k_sets,
     mask_from,
     remove_edge,
 )
@@ -366,8 +366,7 @@ def tutte_violators(g: Graph, mode: str = "first-minimal") -> list[TutteCertific
     full = g.vertex_mask
     found: list[TutteCertificate] = []
     for size in range(g.n + 1):
-        for xs in combinations(range(g.n), size):
-            x_mask = mask_from(xs)
+        for x_mask in k_sets(full, size):
             if _odd_component_count(adj, full & ~x_mask) > size:
                 found.append(TutteCertificate.build(g, x_mask))
                 if mode == "first-minimal":

@@ -17,10 +17,10 @@ bitset helpers with the production modules.
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 
 from .criticality import CriticalityReport, _validate_k
-from .graph import Graph, _odd_component_count, iter_bits, mask_from
+from .graph import Graph, _odd_component_count, check_subset_budget, iter_bits, k_sets
 from .matching import Matching
 
 METHOD_TUTTE = "tutte-type"
@@ -71,15 +71,15 @@ def max_deficiency(g: Graph) -> tuple[int, int]:
 
     Returns the maximum and the lexicographically first attaining set.  This
     is the independent deficiency oracle: maximum matchings have size
-    (n - deficiency) / 2.
+    (n - deficiency) / 2.  Refuses more than ``SUBSET_BUDGET`` sets up front.
     """
+    check_subset_budget(1 << g.n)
     adj = g.adj
     full = g.vertex_mask
     best = -1
     best_x = 0
     for size in range(g.n + 1):
-        for xs in combinations(range(g.n), size):
-            x_mask = mask_from(xs)
+        for x_mask in k_sets(full, size):
             value = _odd_component_count(adj, full & ~x_mask) - size
             if value > best:
                 best = value
@@ -90,13 +90,14 @@ def max_deficiency(g: Graph) -> tuple[int, int]:
 def kfc_via_tutte(g: Graph, k: int) -> CriticalityReport:
     """Odd-component characterization: k-factor-critical iff every B with
     |B| >= k leaves at most |B| - k odd components.  Exponential in n; meant
-    for the small orders where it cross-checks the definitional test."""
+    for the small orders where it cross-checks the definitional test, and
+    refuses more than ``SUBSET_BUDGET`` sets up front."""
     _validate_k(g, k)
+    check_subset_budget(sum(comb(g.n, size) for size in range(k, g.n + 1)))
     adj = g.adj
     full = g.vertex_mask
     for size in range(k, g.n + 1):
-        for subset in combinations(range(g.n), size):
-            b_mask = mask_from(subset)
+        for b_mask in k_sets(full, size):
             if _odd_component_count(adj, full & ~b_mask) > size - k:
                 return CriticalityReport(k, False, b_mask, METHOD_TUTTE)
     return CriticalityReport(k, True, None, METHOD_TUTTE)

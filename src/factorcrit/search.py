@@ -469,13 +469,15 @@ def enumerate_catalog(
     path: str | None = None,
     lenient: bool = False,
     dedup: str = DEDUP_AS_IS,
+    bad: list[tuple[int, str]] | None = None,
 ) -> Catalog:
     """Build a catalog by generating order ``n`` or ingesting a graph6 file.
 
     Ingested lines must all decode to graphs of order ``n``; under ``lenient``
-    offending lines are skipped, otherwise the first one in the file is
-    fatal with its line number.  ``dedup='canonical'`` drops isomorphic
-    duplicates on ingest.  Either way the catalog keeps the rows of the
+    offending lines are skipped and appended to ``bad``, when given, as
+    (lineno, message); otherwise the first one in the file is fatal with
+    its line number.  ``dedup='canonical'`` drops isomorphic duplicates on
+    ingest.  Either way the catalog keeps the rows of the
     graphs it was built from, and no ``Graph`` outlives its line.
     """
     if dedup not in (DEDUP_AS_IS, DEDUP_CANONICAL):
@@ -486,13 +488,17 @@ def enumerate_catalog(
         graphs = generate_nonisomorphic(n)
         return _kept_catalog(n, "generate", DEDUP_CANONICAL, ((encode_graph6(g), g.adj) for g in graphs))
 
+    skipped = [] if bad is None else bad
+
     def ingested() -> Iterator[tuple[str, tuple[int, ...]]]:
         seen: set[str] = set()
-        for lineno, text, g in _read_graph6_file(path, lenient, []):
+        for lineno, text, g in _read_graph6_file(path, lenient, skipped):
             if g.n != n:
-                if lenient:
-                    continue
-                raise MalformedEncoding(f"{path}:{lineno}: order {g.n}, expected {n}")
+                message = f"order {g.n}, expected {n}"
+                if not lenient:
+                    raise MalformedEncoding(f"{path}:{lineno}: {message}")
+                skipped.append((lineno, message))
+                continue
             if dedup == DEDUP_CANONICAL:
                 canon = canonical_graph6(g)
                 if canon in seen:
@@ -806,7 +812,8 @@ def hunt_counterexamples(
     """Every minimally k-factor-critical graph violating an expected-true
     statement, as (graph6, statement id) pairs.
 
-    ``k_rule`` is either "all-valid" or an offset c meaning k = n - c.
+    ``k_rule`` is either "all-valid" or an int offset c, not a bool,
+    meaning k = n - c; any other value raises ``PreconditionUnmet``.
     Orders with a supplied file are ingested, the rest generated; an order
     that the rule gives no valid k is not surveyed.  A file for an order
     that is not surveyed, outside ``orders`` or without a valid k, raises
@@ -820,12 +827,14 @@ def hunt_counterexamples(
     of any statement, the minimum-degree one included, is still reported.
     """
     files = files or {}
-    if isinstance(k_rule, int):
+    if isinstance(k_rule, int) and not isinstance(k_rule, bool):
         sweeps = [(n, [n - k_rule] if n - k_rule in valid_k_values(n) else []) for n in orders]
         rule = f"k = n - {k_rule}"
-    else:
+    elif k_rule == "all-valid":
         sweeps = [(n, valid_k_values(n)) for n in orders]
         rule = "all valid k"
+    else:
+        raise PreconditionUnmet(f"k_rule must be 'all-valid' or an int offset, not {k_rule!r}")
     stray = sorted(set(files) - {n for n, ks in sweeps if ks})
     if stray:
         raise PreconditionUnmet(f"catalog files given for orders {stray}, which are not surveyed")

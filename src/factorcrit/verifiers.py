@@ -9,17 +9,16 @@ counterexample, and sweeps escalate it as TheoremViolated.
 
 The degree-class statements (C2.7, T5.3-T5.5) read a class, the vertices of
 one degree, through ``_of_degree``.  C2.7, T5.3 and T5.4 test it with
-``_independent`` and a condition on the degree profile; T5.5 looks for a
-3-edge path inside it.
+``graph.is_independent`` and a condition on the degree profile; T5.5 looks
+for a 3-edge path inside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import NotCritical, NotMinimallyCritical, OrderTooSmall, PreconditionUnmet
-from .graph import Graph, degree_profile, is_claw_free, iter_bits, mask_from
+from .graph import Graph, degree_profile, is_claw_free, is_independent, iter_bits, mask_from
 from .criticality import is_k_factor_critical, is_minimally_kfc
 
 DEGREE_BOUND = "T1.1"
@@ -157,11 +156,6 @@ def _of_degree(g: Graph, d: int) -> list[int]:
     return [v for v in range(g.n) if g.degree(v) == d]
 
 
-def _independent(g: Graph, vs: list[int]) -> bool:
-    """Whether no two of ``vs`` are adjacent."""
-    return not any(g.has_edge(a, b) for a, b in combinations(vs, 2))
-
-
 def check_two_maxdeg_nonadjacent(g: Graph, k: int, verified: bool = False) -> TheoremVerdict:
     """A minimally k-factor-critical graph of order at least k+5 has at most
     two vertices of degree n-2, and no two of them adjacent."""
@@ -170,7 +164,7 @@ def check_two_maxdeg_nonadjacent(g: Graph, k: int, verified: bool = False) -> Th
     if n < k + 5:
         return TheoremVerdict(TWO_MAXDEG, False, None)
     high = _of_degree(g, n - 2)
-    passed = len(high) <= 2 and _independent(g, high)
+    passed = len(high) <= 2 and is_independent(g, mask_from(high))
     witness = None if passed else {"degree_n_minus_2_vertices": high}
     return TheoremVerdict(TWO_MAXDEG, True, passed, witness)
 
@@ -214,8 +208,8 @@ def check_maxdeg_profile(g: Graph, verified: bool = False) -> TheoremVerdict:
         if n < 8:
             return TheoremVerdict(MAXDEG_N2_PROFILE, False, None)
         high = _of_degree(g, n - 2)
-        ok = (len(high) <= 2 and _independent(g, high) and profile.get(n - 5, 0) == n - 2
-              and profile.get(n - 4, 0) == 2 - len(high))
+        ok = (len(high) <= 2 and is_independent(g, mask_from(high))
+              and profile.get(n - 5, 0) == n - 2 and profile.get(n - 4, 0) == 2 - len(high))
         witness = None if ok else {"profile": profile, "high": high}
         return TheoremVerdict(MAXDEG_N2_PROFILE, True, ok, witness)
 
@@ -223,7 +217,7 @@ def check_maxdeg_profile(g: Graph, verified: bool = False) -> TheoremVerdict:
         if n < 9:
             return TheoremVerdict(MAXDEG_N3_PROFILE, False, None)
         high = _of_degree(g, n - 3)
-        ok = len(high) < 3 or (len(high) == 3 and _independent(g, high)
+        ok = len(high) < 3 or (len(high) == 3 and is_independent(g, mask_from(high))
                                and profile.get(n - 5, 0) == n - 3)
         witness = None if ok else {"profile": profile, "high": high}
         return TheoremVerdict(MAXDEG_N3_PROFILE, True, ok, witness)

@@ -316,6 +316,26 @@ def test_lenient_file_parsing(tmp_path: Path, capsys):
     assert code == 0 and "skipped" in err
 
 
+def test_lenient_survey_notes_each_skipped_line(tmp_path: Path, capsys):
+    path = tmp_path / "mixed.g6"
+    path.write_text("C~\nbad!!\nA_\nC^\n", encoding="ascii")
+    code, out, err = run_cli(["survey", "--n", "4", "--k", "2", "--file", str(path), "--lenient"],
+                             capsys=capsys)
+    assert code == 0 and out.startswith("order 4, k=2: 2 graphs,")
+    assert err == (f"{path}:2: skipped: byte out of graph6 range in 'bad!!'\n"
+                   f"{path}:3: skipped: order 2, expected 4\n")
+
+
+def test_survey_violation_exits_3(monkeypatch, capsys):
+    from factorcrit import search
+    from factorcrit.verifiers import TheoremVerdict
+
+    failed = [TheoremVerdict("C1.2", True, False, {"planted": True})]
+    monkeypatch.setattr(search, "minimal_verdicts", lambda g, k, verified=False: failed)
+    assert run_cli(["survey", "--gen", "6", "--k", "2"], capsys=capsys) == (
+        3, "", "violation: C1.2 failed on EK~o\n")
+
+
 def test_non_ascii_file_line(tmp_path: Path, capsys):
     path = tmp_path / "accented.g6"
     path.write_bytes("A_\né\n".encode("utf-8"))
@@ -480,18 +500,65 @@ def test_verify_notes_when_no_checker_applies(capsys):
         assert code == 0 and out and err == ""
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_closed_stdout_ends_quietly_by_sigpipe():
     """``gen 8`` writes about 86 KB, more than a pipe holds, so a write
     fails once the reader has closed its end; the process then ends by
     SIGPIPE, with nothing on stderr."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "factorcrit.cli", "gen", "8"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
     assert proc.stdout.readline()
     proc.stdout.close()
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert stderr == b""
+
+
+# Prints the outcome of the expression in argv[1], evaluated against K_40,
+# and the seconds it took.
+_TIMED_K40_CALL = """
+import sys, time
+import factorcrit as fc
+from factorcrit.cli import main
+g = fc.complete_graph(40)
+g6 = fc.encode_graph6(g)
+start = time.perf_counter()
+try:
+    outcome = repr(eval(sys.argv[1]))
+except fc.LimitExceeded:
+    outcome = "LimitExceeded"
+print(outcome, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.parametrize("call, outcome", [
+    ("fc.is_k_factor_critical(g, 20)", "LimitExceeded"),
+    ("fc.kfc_via_tutte(g, 20)", "LimitExceeded"),
+    ("fc.is_minimally_kfc(g, 20)", "LimitExceeded"),
+    ("fc.minimal_verdicts(g, 20)", "LimitExceeded"),
+    ("fc.minimality_witness(g, 20, (0, 1))", "LimitExceeded"),
+    ("fc.certify_minimal_edges(g, 20)", "LimitExceeded"),
+    ("fc.max_deficiency(g)", "LimitExceeded"),
+    ("main(['kfc', '--k', '20', g6])", "2"),
+    ("main(['kfc', '--k', '20', '--method', 'tutte', g6])", "2"),
+    ("main(['minimal', '--k', '20', g6])", "2"),
+    ("main(['verify', '--k', '20', g6])", "2"),
+    ("main(['witness', '--k', '20', '--edge', '0,1', g6])", "2"),
+    ("main(['predicates', '--k', '20', g6])", "2"),
+])
+def test_sweeps_over_the_subset_budget_are_refused_at_once(call, outcome):
+    """On K_40 at k = 20 each of these would sweep C(40, 20), about 1.4e11,
+    k-sets (``max_deficiency`` 2^40 sets).  Each runs in a subprocess, so
+    that a sweep which starts fails the test at the timeout instead of
+    hanging the suite."""
+    proc = subprocess.run([sys.executable, "-c", _TIMED_K40_CALL, call], capture_output=True,
+                          text=True, env=_src_env(), timeout=30)
+    result, seconds = proc.stdout.split()
+    assert result == outcome and float(seconds) < 1, proc.stderr

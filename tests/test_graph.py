@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 import networkx as nx
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from factorcrit import (
     ComponentPartition,
     Graph,
+    LimitExceeded,
     MalformedEncoding,
     OrderTooSmall,
     PreconditionUnmet,
@@ -35,7 +37,7 @@ from factorcrit import (
     star_graph,
     wheel_graph,
 )
-from factorcrit.graph import bits_list, mask_from
+from factorcrit.graph import SUBSET_BUDGET, bits_list, is_independent, k_sets, mask_from
 
 
 def random_graph_strategy(max_n: int = 12):
@@ -209,6 +211,27 @@ def test_claw_free_examples():
 def test_claw_free_agrees_with_bruteforce(catalog):
     for g in catalog(6):
         assert is_claw_free(g) == _claw_free_bruteforce(g)
+
+
+def test_k_sets_are_the_combinations_as_masks():
+    for pool in range(1 << 7):
+        for k in range(9):
+            expected = [mask_from(c) for c in itertools.combinations(bits_list(pool), k)]
+            assert list(k_sets(pool, k)) == expected, (pool, k)
+
+
+def test_k_sets_refuse_a_sweep_over_the_budget_at_once():
+    assert math.comb(22, 11) <= SUBSET_BUDGET < math.comb(23, 11)
+    assert next(k_sets((1 << 22) - 1, 11)) == (1 << 11) - 1
+    with pytest.raises(LimitExceeded, match="1352078 vertex subsets"):
+        k_sets((1 << 23) - 1, 11)
+
+
+def test_is_independent_agrees_with_the_pairwise_test(catalog):
+    for g in catalog(6):
+        for mask in range(1 << 6):
+            pairs = itertools.combinations(bits_list(mask), 2)
+            assert is_independent(g, mask) == (not any(g.has_edge(a, b) for a, b in pairs))
 
 
 def test_connectivity_examples():

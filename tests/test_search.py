@@ -25,6 +25,7 @@ from factorcrit import (
     ParityMismatch,
     PreconditionUnmet,
     ResumeMismatch,
+    TheoremViolated,
     canonical_form,
     canonical_graph6,
     complete_bipartite,
@@ -629,6 +630,38 @@ def test_hunt_rejects_a_file_for_an_order_it_does_not_hunt(monkeypatch):
     # Order 4 is hunted, but k = n - 4 = 0 is not valid there.
     with pytest.raises(PreconditionUnmet, match=r"orders \[4\]"):
         hunt_counterexamples(range(4, 6), k_rule=4, files={4: "/nonexistent.g6"})
+
+
+@pytest.mark.parametrize("k_rule", ["bogus", True, False, 2.0, None])
+def test_hunt_rejects_a_k_rule_that_is_neither_all_valid_nor_an_int(monkeypatch, k_rule):
+    monkeypatch.setattr(search, "enumerate_catalog", lambda *a, **kw: pytest.fail("catalog built"))
+    with pytest.raises(PreconditionUnmet, match=rf"not {re.escape(repr(k_rule))}$"):
+        hunt_counterexamples([6], k_rule=k_rule)
+
+
+def _plant_a_c12_failure(monkeypatch):
+    """Make every minimal graph's statement verdicts one failed C1.2."""
+    from factorcrit.verifiers import TheoremVerdict
+
+    failed = [TheoremVerdict("C1.2", True, False, {"planted": True})]
+    monkeypatch.setattr(search, "minimal_verdicts", lambda g, k, verified=False: failed)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_stops_at_the_first_failed_proven_statement(tmp_path: Path, monkeypatch, jobs):
+    """The record of the failing graph is written before the survey stops;
+    EK~o is the first minimally 2-factor-critical graph of order 6."""
+    _plant_a_c12_failure(monkeypatch)
+    path = tmp_path / "violation.jsonl"
+    with pytest.raises(TheoremViolated, match="^C1.2 failed on EK~o$"):
+        survey(enumerate_catalog(6), 2, jobs=jobs, jsonl_path=str(path))
+    records = path.read_text().splitlines()
+    assert len(records) == 119 and json.loads(records[-1])["graph6"] == "EK~o"
+
+
+def test_hunt_lists_every_failed_statement(monkeypatch):
+    _plant_a_c12_failure(monkeypatch)
+    assert hunt_counterexamples([6], k_rule=4) == [("EK~o", "C1.2"), ("ELrw", "C1.2"), ("ELv_", "C1.2")]
 
 
 def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):
