@@ -33,7 +33,7 @@ themselves, lexicographically first, still come from the matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     EdgeAbsent,
@@ -124,30 +124,24 @@ def is_k_factor_critical(
     return CriticalityReport(k, True, None, METHOD_DEFINITIONAL)
 
 
-def fails_degree_gate(adj: Sequence[int], k: int) -> bool:
-    """Whether the graph with rows ``adj`` has a vertex of degree at most k,
-    which a k-factor-critical graph of order at least k + 2 never has
-    (Favaron; Yu): it is (k+1)-edge-connected.  ``adj`` must be non-empty."""
-    return min(map(int.bit_count, adj)) <= k
-
-
 def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     """Whether g is k-factor-critical, and whether it is minimally so.
 
     Favaron's necessary condition settles what it can before any matching
-    work: a k-factor-critical graph with n - k >= 2 has minimum degree at
-    least k+1.  So a graph that ``fails_degree_gate`` is not
-    k-factor-critical, and G - uv is not when u or v has degree k+1, which
-    makes uv essential without a test.  A valid k has k < n and the parity
+    work: a k-factor-critical graph with n - k >= 2 is (k+1)-edge-connected
+    (Favaron; Yu), so its minimum degree is at least k+1.  A graph with a
+    vertex of degree at most k is therefore not k-factor-critical, and
+    G - uv is not when u or v has degree k+1, which makes uv essential
+    without a test.  A valid k has k < n and the parity
     of n, so n - k >= 2 always holds here.  Every other edge is essential
     exactly when it has a witness set (see the module docstring), read off
     the table of matchable sets up to ``TABLE_MAX_ORDER`` and searched for
     with one memoized matcher above it.
     """
     _validate_k(g, k)
-    if fails_degree_gate(g.adj, k):
-        return False, False
     degrees = g.degrees()
+    if min(degrees) <= k:
+        return False, False
     if g.n <= TABLE_MAX_ORDER:
         table = matchable_sets(g)
         without, of_size = subset_masks(g.n)
@@ -186,8 +180,12 @@ def _has_table_witness(
     """
     forced = c_sets & ~without[u] & ~without[v]
     avoid_u = table & without[u]
-    for w in iter_bits(g.adj[u] & ~(1 << v)):
-        forced &= ~((avoid_u & without[w]) << ((1 << u) | (1 << w)))
+    u_bit = 1 << u
+    partners = g.adj[u] & ~(1 << v)
+    while partners:  # each neighbour w != v, as its bit
+        w_bit = partners & -partners
+        partners ^= w_bit
+        forced &= ~((avoid_u & without[w_bit.bit_length() - 1]) << (u_bit | w_bit))
         if not forced:
             return False
     return True

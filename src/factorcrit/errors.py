@@ -32,7 +32,7 @@ class OrderTooSmall(FactorCritError):
 class LimitExceeded(FactorCritError):
     """A strict enumeration was truncated before completing, or an
     exponential search was refused before it started: a vertex-subset sweep
-    of more than ``graph.SUBSET_BUDGET`` sets, ``tutte_violators`` above
+    or memo of more than ``graph.SUBSET_BUDGET`` sets, ``tutte_violators`` above
     ``VIOLATOR_MAX_ORDER``, or a subset table above ``TABLE_MAX_ORDER``."""
 
 

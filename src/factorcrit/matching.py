@@ -185,8 +185,12 @@ def matchable_sets(g: Graph) -> int:
     table = 1
     for v in range(g.n - 1, -1, -1):
         above = table
-        for w in iter_bits(g.adj[v] >> (v + 1) << (v + 1)):
-            table |= (above & without[w]) << ((1 << v) | (1 << w))
+        v_bit = 1 << v
+        higher = g.adj[v] >> (v + 1) << (v + 1)
+        while higher:  # each neighbour w > v, as its bit
+            w_bit = higher & -higher
+            higher ^= w_bit
+            table |= (above & without[w_bit.bit_length() - 1]) << (v_bit | w_bit)
     return table
 
 
@@ -314,13 +318,16 @@ def enumerate_perfect_matchings(
     """All perfect matchings in deterministic lexicographic order.
 
     Truncates at ``limit`` and flags the truncation; with ``strict`` a
-    truncated enumeration raises instead.  Intended for small orders.
+    truncated enumeration raises instead.  Intended for small orders.  A
+    graph without a perfect matching, odd orders included, is settled by
+    one blossom matching before the branching search, which would
+    otherwise try every partial matching to find none.
     """
     if limit < 1:
         raise PreconditionUnmet("limit must be at least 1")
     out: list[Matching] = []
     truncated = False
-    if g.n % 2 == 0:
+    if has_perfect_matching(g):
         for pairs in _perfect_matchings(g.adj, g.vertex_mask):
             if len(out) == limit:
                 truncated = True

@@ -27,7 +27,11 @@ METHOD_TUTTE = "tutte-type"
 
 
 def maximum_matching_bruteforce(g: Graph) -> Matching:
-    """Exhaustive maximum matching; the independent oracle for the blossom code."""
+    """Exhaustive maximum matching; the independent oracle for the blossom
+    code.  Its memo may hold every one of the 2^n vertex subsets, so it
+    refuses more than ``SUBSET_BUDGET`` of them up front, as
+    ``max_deficiency`` does: orders above 19."""
+    check_subset_budget(1 << g.n)
     memo: dict[int, int] = {}
     adj = g.adj
 

@@ -85,7 +85,7 @@ from .errors import (
     TheoremViolated,
 )
 from .graph import GRAPH6_HEADER, Graph, _rows_from_columns, degree_profile, encode_graph6, parse_graph6
-from .criticality import fails_degree_gate, kfc_and_minimal
+from .criticality import kfc_and_minimal
 # Also a module attribute here: the perfbench harness reads and traces the
 # k-factor-critical test as factorcrit.search.is_k_factor_critical.
 from .criticality import is_k_factor_critical  # noqa: F401
@@ -120,6 +120,8 @@ _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 # A short record's line without the encoder, whose encode builds a new C
 # encoder per call: that took most of a degree-gated record's time.
 _SHORT_LINE = '{"graph6": %s, "kfc": %s, "minimal": false}\n'
+# The line of a degree-gated graph, which is never k-factor-critical.
+_GATED_LINE = _SHORT_LINE % ("%s", "false")
 
 
 def _column_codes(adj: Sequence[int], n: int) -> list[int]:
@@ -366,7 +368,9 @@ class Catalog:
     ``enumerate_catalog``, ``from_graphs``) keeps their rows from the start
     and parses nothing.  Any other catalog, made by the constructor or by
     ``dataclasses.replace``, decodes all its lines on first use and keeps
-    them.  The rows are derived, not a field: equality, hashing and
+    them.  The survey's degree gate reads one more column, each graph's
+    minimum degree, derived from the rows on first use.  Rows and column
+    are derived, not fields: equality, hashing and
     ``dataclasses.replace`` see only the lines.  A malformed line, or one of
     another order than ``n``, raises ``MalformedEncoding`` on first use,
     before anything else happens.
@@ -393,6 +397,15 @@ class Catalog:
         for line in self.graph6_lines:
             rows.extend(_of_order(parse_graph6(line), n).adj)
         return rows
+
+    @cached_property
+    def _min_degrees(self) -> bytes:
+        """The minimum degree of every graph, one byte each, in catalog
+        order: the elementwise ``min`` of the ``n`` degree columns, one per
+        vertex position.  Column 0 is passed twice, so that ``min`` gets at
+        least two columns at order 1."""
+        n, degrees = self.n, bytes(map(int.bit_count, self._rows))
+        return bytes(map(min, degrees[::n], *(degrees[j::n] for j in range(n))))
 
     @classmethod
     def from_graphs(cls, n: int, graphs: Iterable[Graph], source: str = "memory") -> Catalog:
@@ -559,12 +572,10 @@ def _profile_key(profile: dict[int, int]) -> str:
 
 def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
     """Everything the aggregator needs about one catalog graph, ``adj``
-    being the rows of the graph that ``line`` encodes.  A graph that
-    ``fails_degree_gate`` gets the short record, keyed graph6, kfc and
-    minimal only, without a ``Graph`` built."""
+    being the rows of the graph that ``line`` encodes.  A graph that is
+    not minimally k-factor-critical gets the short record, keyed graph6,
+    kfc and minimal only."""
     record: dict = {"graph6": line, "kfc": False, "minimal": False}
-    if fails_degree_gate(adj, k):
-        return record
     g = Graph._trusted(len(adj), adj)
     try:
         record["kfc"], record["minimal"] = kfc_and_minimal(g, k)
@@ -632,7 +643,11 @@ def survey(
 
     The catalog is decoded first, if it has not been already, so that a bad
     line raises ``MalformedEncoding`` before the resume check or the sink
-    touches ``jsonl_path``.
+    touches ``jsonl_path``.  A k-factor-critical graph is
+    (k+1)-edge-connected (Favaron; Yu), so each run of consecutive graphs
+    with minimum degree at most k, read off the catalog's minimum-degree
+    column, is settled in bulk: its short records are written in one go and
+    only counted towards ``total``.
     """
     n = catalog.n
     if n < 3:
@@ -645,14 +660,20 @@ def survey(
         raise PreconditionUnmet(f"skip={skip} outside 0..{len(catalog)}")
     report = SurveyReport(n=n, k=k, source=catalog.source)
     catalog._rows  # decode now, before the pool forks or the file is touched
+    catalog._min_degrees  # and derive the column, which the workers inherit
     if jsonl_path is not None and skip:
         _check_resume(jsonl_path, catalog.graph6_lines, skip)
     sink = open(jsonl_path, "a" if skip else "w", encoding="utf-8") if jsonl_path else None
     try:
-        for record in _iter_records(catalog, skip, k, jobs):
+        for item in _iter_records(catalog, skip, k, jobs):
+            if not isinstance(item, dict):  # a run of degree-gated graphs' lines
+                if sink is not None:
+                    sink.write("".join(map(_GATED_LINE.__mod__, map(encode_basestring_ascii, item))))
+                report.total += len(item)
+                continue
             if sink is not None:
-                sink.write(_jsonl_line(record))
-            _fold_record(report, record, raise_on_violation, on_minimal)
+                sink.write(_jsonl_line(item))
+            _fold_record(report, item, raise_on_violation, on_minimal)
     finally:
         if sink is not None:
             sink.close()
@@ -697,13 +718,13 @@ def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
             handle.truncate(len(complete))
 
 
-def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[dict]:
-    """The records of the catalog's graphs after the first ``skip``, in
-    order, all from ``_survey_record`` over the catalog's kept rows, so a
-    graph that fails the degree gate costs no ``Graph`` and no matching
-    work.  With ``jobs`` above 1 and at least 64 graphs, a pool of at most
-    one worker per usable CPU receives index ranges: its workers, forked
-    after the catalog was decoded, read the same rows and parse nothing."""
+def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[dict | Sequence[str]]:
+    """The ``_records`` items of the catalog's graphs after the first
+    ``skip``, in order.  With ``jobs`` above 1 and at least 64 graphs, a
+    pool of at most one worker per usable CPU receives index ranges: its
+    workers, forked after the catalog was decoded, read the same rows and
+    minimum-degree column and parse nothing.  A range boundary may split a
+    run of degree-gated graphs in two."""
     count = len(catalog) - skip
     jobs = min(jobs, _usable_cpus())
     if jobs <= 1 or count < 64:
@@ -718,11 +739,25 @@ def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[di
             yield from records
 
 
-def _records(catalog: Catalog, start: int, stop: int, k: int) -> Iterator[dict]:
-    """The records of catalog graphs ``start`` to ``stop`` - 1."""
-    n, rows = catalog.n, catalog._rows
-    for line, i in zip(catalog.graph6_lines[start:stop], range(start * n, stop * n, n)):
-        yield _survey_record(line, tuple(rows[i:i + n]), k)
+def _records(catalog: Catalog, start: int, stop: int, k: int) -> Iterator[dict | Sequence[str]]:
+    """The items of catalog graphs ``start`` to ``stop`` - 1, in order:
+    each maximal run of consecutive graphs with minimum degree at most k
+    as the slice of their graph6 lines, and every other graph as its
+    ``_survey_record``, so a degree-gated graph costs no ``Graph``, no
+    record and no matching work."""
+    n, rows, lines = catalog.n, catalog._rows, catalog.graph6_lines
+    # 1 for each graph past the degree gate, 0 for each gated one
+    past = catalog._min_degrees.translate(bytes(d > k for d in range(256)))
+    i = start
+    while i < stop:
+        if past[i]:
+            yield _survey_record(lines[i], tuple(rows[i * n:i * n + n]), k)
+            i += 1
+        else:
+            j = past.find(1, i, stop)
+            j = stop if j < 0 else j
+            yield lines[i:j]
+            i = j
 
 
 # The catalog and k of the survey that a pool worker serves, set once in
@@ -735,9 +770,9 @@ def _start_worker(catalog: Catalog, k: int) -> None:
     _worker_survey = catalog, k
 
 
-def _survey_range(bounds: tuple[int, int]) -> list[dict]:
-    """A pool task: the records of the graphs in ``bounds``, a (start,
-    stop) index range of the worker's catalog."""
+def _survey_range(bounds: tuple[int, int]) -> list[dict | Sequence[str]]:
+    """A pool task: the ``_records`` items of the graphs in ``bounds``, a
+    (start, stop) index range of the worker's catalog."""
     catalog, k = _worker_survey
     return list(_records(catalog, *bounds, k))
 

@@ -546,6 +546,7 @@ print(outcome, time.perf_counter() - start)
     ("fc.minimality_witness(g, 20, (0, 1))", "LimitExceeded"),
     ("fc.certify_minimal_edges(g, 20)", "LimitExceeded"),
     ("fc.max_deficiency(g)", "LimitExceeded"),
+    ("fc.maximum_matching_bruteforce(g)", "LimitExceeded"),
     ("main(['kfc', '--k', '20', g6])", "2"),
     ("main(['kfc', '--k', '20', '--method', 'tutte', g6])", "2"),
     ("main(['minimal', '--k', '20', g6])", "2"),
@@ -555,7 +556,8 @@ print(outcome, time.perf_counter() - start)
 ])
 def test_sweeps_over_the_subset_budget_are_refused_at_once(call, outcome):
     """On K_40 at k = 20 each of these would sweep C(40, 20), about 1.4e11,
-    k-sets (``max_deficiency`` 2^40 sets).  Each runs in a subprocess, so
+    k-sets (``max_deficiency`` 2^40 sets, ``maximum_matching_bruteforce``
+    a memo of up to 2^40 subsets).  Each runs in a subprocess, so
     that a sweep which starts fails the test at the timeout instead of
     hanging the suite."""
     proc = subprocess.run([sys.executable, "-c", _TIMED_K40_CALL, call], capture_output=True,

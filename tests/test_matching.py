@@ -122,6 +122,20 @@ def test_enumeration_counts_match_independent_oracle(catalog):
         assert len(enumerate_perfect_matchings(g).matchings) == _count_pms_highest_first(g)
 
 
+def test_enumeration_without_a_perfect_matching_is_polynomial():
+    """Two disjoint K_15 have no perfect matching; the branching search
+    alone would try every partial matching before finding none, which
+    takes about 1 s on one core of a 2-CPU machine."""
+    half = (1 << 15) - 1
+    rows = [half & ~(1 << v) for v in range(15)] + [(half << 15) & ~(1 << v) for v in range(15, 30)]
+    g = Graph(30, tuple(rows))
+    start = time.perf_counter()
+    result = enumerate_perfect_matchings(g, limit=1, strict=True)
+    assert time.perf_counter() - start < 0.25
+    assert not result.matchings and not result.truncated
+    assert len(enumerate_perfect_matchings(complete_graph(31)).matchings) == 0
+
+
 def test_enumeration_truncation_and_strict():
     k6 = complete_graph(6)  # 15 perfect matchings
     result = enumerate_perfect_matchings(k6, limit=4)

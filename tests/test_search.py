@@ -766,16 +766,83 @@ def test_survey_parses_nothing_in_a_catalog_built_from_graphs(tmp_path: Path, mo
         assert survey(cat, 2, jobs=2).to_json() == survey(cat, 2, jobs=1).to_json()
 
 
+def _flattened(items) -> list[dict]:
+    """The records of ``_records`` items, each run of degree-gated lines
+    spelled out as its graphs' short records."""
+    records = []
+    for item in items:
+        if isinstance(item, dict):
+            records.append(item)
+        else:
+            records += [{"graph6": line, "kfc": False, "minimal": False} for line in item]
+    return records
+
+
 @pytest.mark.parametrize("direct", [True, False], ids=["direct", "ingested"])
 def test_pool_records_equal_in_process_records_after_skip(tmp_path: Path, direct):
+    """Graph by graph: the pool's ranges split the runs of degree-gated
+    graphs at other places than one pass does, so the items are compared
+    spelled out."""
     path = tmp_path / "cat7.g6"
     lines = enumerate_catalog(7).graph6_lines
     path.write_text("".join(line + "\n" for line in lines))
     cat = Catalog(7, str(path), "as-is", lines) if direct else enumerate_catalog(7, path=str(path))
     for skip in (1, 700, 980):
-        pooled = list(search._iter_records(cat, skip, 3, 2))
-        assert pooled == list(search._iter_records(cat, skip, 3, 1))
+        in_process = list(search._iter_records(cat, skip, 3, 1))
+        assert not all(isinstance(item, dict) for item in in_process)
+        pooled = _flattened(search._iter_records(cat, skip, 3, 2))
+        assert pooled == _flattened(in_process)
         assert [record["graph6"] for record in pooled] == list(lines[skip:])
+
+
+def test_min_degree_column_equals_each_graphs_min_degree():
+    for n in range(1, 9):
+        cat = enumerate_catalog(n)
+        assert list(cat._min_degrees) == [g.min_degree() for g in cat]
+        fresh = Catalog(n, cat.source, cat.dedup, cat.graph6_lines)
+        assert fresh._min_degrees == cat._min_degrees  # from lines decoded on first use
+        assert cat == fresh and hash(cat) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(cat)] == ["n", "source", "dedup", "graph6_lines"]
+    part = dataclasses.replace(cat, graph6_lines=cat.graph6_lines[5:20])
+    assert "_min_degrees" not in vars(part) and "_rows" not in vars(part)
+    assert part._min_degrees == cat._min_degrees[5:20]
+    assert part == dataclasses.replace(cat, graph6_lines=cat.graph6_lines[5:20])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_resume_inside_a_gated_run_equals_an_unbroken_sweep(tmp_path: Path, jobs):
+    cat = enumerate_catalog(7)
+    k = 3
+    whole = tmp_path / "whole.jsonl"
+    survey(cat, k, jsonl_path=str(whole))
+    text = whole.read_text(encoding="utf-8")
+    gated = [d <= k for d in cat._min_degrees]
+    # skip lands between two gated graphs, with at least 64 graphs after it
+    skip = next(i for i in range(500, len(cat)) if gated[i - 1] and gated[i])
+    assert len(cat) - skip >= 64  # enough for jobs=2 to start a pool
+    resumed = tmp_path / "resumed.jsonl"
+    resumed.write_text("".join(text.splitlines(keepends=True)[:skip]), encoding="utf-8")
+    survey(Catalog(7, "memory", "as-is", cat.graph6_lines), k, jobs=jobs, jsonl_path=str(resumed), skip=skip)
+    assert resumed.read_bytes() == whole.read_bytes()
+
+
+def test_a_violation_leaves_the_records_up_to_it(tmp_path: Path, monkeypatch):
+    """At jobs=1 the gated runs ahead of the violating record are written,
+    and nothing after it."""
+    cat = enumerate_catalog(7)
+    k = 3
+    whole = tmp_path / "whole.jsonl"
+    survey(cat, k, jsonl_path=str(whole))
+    lines = whole.read_text(encoding="utf-8").splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if json.loads(line)["minimal"])
+    assert sum(d <= k for d in cat._min_degrees[:first]) > 1
+    _plant_a_c12_failure(monkeypatch)
+    path = tmp_path / "violation.jsonl"
+    with pytest.raises(TheoremViolated, match=f"^C1.2 failed on {re.escape(cat.graph6_lines[first])}$"):
+        survey(cat, k, jsonl_path=str(path))
+    written = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert written[:first] == lines[:first] and len(written) == first + 1
+    assert json.loads(written[first])["graph6"] == cat.graph6_lines[first]
 
 
 def test_decoding_leaves_equality_and_replace_alone():
@@ -808,20 +875,27 @@ def test_catalog_slices_fold_to_the_whole(tmp_path: Path):
         assert folded.to_json() == whole.to_json()
 
 
-def test_jsonl_line_equals_the_encoder(monkeypatch):
+def test_jsonl_line_equals_the_encoder(tmp_path: Path, monkeypatch):
+    """Every written line, those of degree-gated runs included, is the
+    encoder's line for the record it holds."""
     encoder = json.JSONEncoder(sort_keys=True)
     kinds: collections.Counter = collections.Counter()
-    backslashed = 0
+    backslashed = collections.Counter()
+    path = tmp_path / "records.jsonl"
     for n in range(3, 8):
         cat = enumerate_catalog(n)
         for k in valid_k_values(n):
-            for record in search._iter_records(cat, 0, k, 1):
-                assert search._jsonl_line(record) == encoder.encode(record) + "\n"
+            survey(cat, k, jsonl_path=str(path))
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            assert len(lines) == len(cat)
+            for line, degree in zip(lines, cat._min_degrees):
+                record = json.loads(line)
+                assert line == encoder.encode(record) + "\n"
                 kinds[(len(record), record["kfc"], "verdicts" in record, "config" in record)] += 1
-                backslashed += "\\" in record["graph6"]
+                backslashed[degree <= k] += "\\" in record["graph6"]
     assert kinds[(3, False, False, False)] and kinds[(3, True, False, False)]  # short records
     assert any(verdicts and config for _size, _kfc, verdicts, config in kinds)  # minimal records
-    assert backslashed  # the escape of graph6 byte 92 is exercised
+    assert backslashed[True] and backslashed[False]  # graph6 byte 92, gated and not
 
     def failing(g, k):
         raise PreconditionUnmet("planted")
@@ -849,8 +923,8 @@ def test_degree_gated_graphs_skip_the_criticality_test(monkeypatch):
         assert calls == passing
         calls.clear()
         monkeypatch.setattr(search, "_worker_survey", (cat, k))
-        records = search._survey_range((0, len(cat)))
-        assert [record["graph6"] for record in records] == lines
+        items = search._survey_range((0, 500)) + search._survey_range((500, len(cat)))
+        assert [record["graph6"] for record in _flattened(items)] == lines
         assert calls == passing
         calls.clear()
 
