@@ -26,8 +26,9 @@ Up to ``TABLE_MAX_ORDER`` it reads both answers off the table T of
 iff T holds every c-set, ``T & of_size[c] == of_size[c]``.  The c-sets M
 holding u and v in which u has a perfect matching with another neighbour w
 are ``(T & without[u] & without[w]) << (2^u + 2^w)``, so e = uv has a
-witness iff some c-set holding u and v lies in none of them.  The witnesses
-themselves, lexicographically first, still come from the matcher.
+witness iff some c-set holding u and v lies in none of them.  The c-sets
+left are the complements of e's witnesses, so ``minimality_certificate``
+reads the lexicographically first witness of each edge off the same table.
 """
 
 from __future__ import annotations
@@ -139,40 +140,47 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     with one memoized matcher above it.
     """
     _validate_k(g, k)
-    degrees = g.degrees()
+    n, adj = g.n, g.adj
+    degrees = list(map(int.bit_count, adj))
     if min(degrees) <= k:
         return False, False
-    if g.n <= TABLE_MAX_ORDER:
+    table = None
+    if n <= TABLE_MAX_ORDER:
         table = matchable_sets(g)
-        without, of_size = subset_masks(g.n)
-        c_sets = of_size[g.n - k]
+        without, of_size = subset_masks(n)
+        c_sets = of_size[n - k]
         if table & c_sets != c_sets:
             return False, False
-
-        def essential(u: int, v: int) -> bool:
-            return _has_table_witness(g, table, c_sets, without, u, v)
     else:
         matcher = PerfectMatcher(g)
         if not is_k_factor_critical(g, k, matcher).verdict:
             return False, False
-
-        def essential(u: int, v: int) -> bool:
-            return next(_edge_witnesses(g, k, (u, v), matcher), None) is not None
     tight = k + 1
-    for u in range(g.n):
+    for u in range(n):
         if degrees[u] == tight:
             continue
-        for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
-            if degrees[v] != tight and not essential(u, v):
+        higher = adj[u] >> (u + 1) << (u + 1)
+        while higher:  # each neighbour v > u, as its bit
+            v_bit = higher & -higher
+            higher ^= v_bit
+            v = v_bit.bit_length() - 1
+            if degrees[v] == tight:
+                continue
+            if table is not None:
+                essential = _witness_complements(adj, table, c_sets, without, u, v)
+            else:
+                essential = next(_edge_witnesses(g, k, (u, v), matcher), None) is not None
+            if not essential:
                 return True, False
     return True, True
 
 
-def _has_table_witness(
-    g: Graph, table: int, c_sets: int, without: tuple[int, ...], u: int, v: int
-) -> bool:
-    """Whether edge uv of a k-factor-critical g has a witness set, from g's
-    table of matchable sets and the bitset of its (n - k)-vertex masks.
+def _witness_complements(
+    adj: tuple[int, ...], table: int, c_sets: int, without: tuple[int, ...], u: int, v: int
+) -> int:
+    """The bitset of the masks G - S of the witness sets S of edge uv of a
+    k-factor-critical graph with rows ``adj``, from its table of matchable
+    sets and the bitset of its (n - k)-vertex masks; 0 when uv has none.
 
     A c-set M holding u and v is G - S for a witness S exactly when no
     perfect matching of G[M] pairs u with a neighbour w != v, that is when
@@ -181,14 +189,14 @@ def _has_table_witness(
     forced = c_sets & ~without[u] & ~without[v]
     avoid_u = table & without[u]
     u_bit = 1 << u
-    partners = g.adj[u] & ~(1 << v)
+    partners = adj[u] & ~(1 << v)
     while partners:  # each neighbour w != v, as its bit
         w_bit = partners & -partners
         partners ^= w_bit
         forced &= ~((avoid_u & without[w_bit.bit_length() - 1]) << (u_bit | w_bit))
         if not forced:
-            return False
-    return True
+            return 0
+    return forced
 
 
 def is_minimally_kfc(g: Graph, k: int) -> bool:
@@ -239,13 +247,38 @@ def minimality_witness(g: Graph, k: int, e: tuple[int, int]) -> int | None:
 
 
 def minimality_certificate(g: Graph, k: int) -> MinimalityCertificate:
-    """Witness sets for every edge; raises if the graph is not minimal."""
-    matcher = PerfectMatcher(g)
-    if not is_k_factor_critical(g, k, matcher).verdict:
-        raise NotCritical(f"graph is not {k}-factor-critical")
+    """Witness sets for every edge; raises if the graph is not minimal.
+
+    Each edge gets its lexicographically first witness, the one that
+    ``minimality_witness`` reports.  Up to ``TABLE_MAX_ORDER`` they are
+    read off g's table of matchable sets, built once: criticality as in
+    ``kfc_and_minimal``, then for each edge uv the first k-set S avoiding u
+    and v, in the order of ``k_sets``, whose G - S is among the edge's
+    ``_witness_complements``.  Above it, one memoized matcher tests
+    criticality and searches every edge's k-sets in the same order.
+    """
+    _validate_k(g, k)
+    full = g.vertex_mask
+    if g.n <= TABLE_MAX_ORDER:
+        table = matchable_sets(g)
+        without, of_size = subset_masks(g.n)
+        c_sets = of_size[g.n - k]
+        if table & c_sets != c_sets:
+            raise NotCritical(f"graph is not {k}-factor-critical")
+
+        def first_witness(u: int, v: int) -> int | None:
+            forced = _witness_complements(g.adj, table, c_sets, without, u, v)
+            return next((s for s in k_sets(full & ~(1 << u | 1 << v), k) if forced >> (full ^ s) & 1), None)
+    else:
+        matcher = PerfectMatcher(g)
+        if not is_k_factor_critical(g, k, matcher).verdict:
+            raise NotCritical(f"graph is not {k}-factor-critical")
+
+        def first_witness(u: int, v: int) -> int | None:
+            return next(_edge_witnesses(g, k, (u, v), matcher), None)
     witnesses: dict[tuple[int, int], int] = {}
     for e in g.edges():
-        found = next(_edge_witnesses(g, k, e, matcher), None)
+        found = first_witness(*e)
         if found is None:
             raise NotMinimallyCritical(f"edge {e} has no witness set")
         witnesses[e] = found

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import EdgeAbsent, LimitExceeded, PreconditionUnmet
 from .graph import (
@@ -298,9 +298,13 @@ class PerfectMatchingEnumeration:
         return iter(self.matchings)
 
 
-def _perfect_matchings(adj: Sequence[int], mask: int) -> Iterator[tuple[tuple[int, int], ...]]:
+def _perfect_matchings(
+    adj: Sequence[int], mask: int, matchable: Callable[[int], bool]
+) -> Iterator[tuple[tuple[int, int], ...]]:
     # Branch on the lowest uncovered vertex with neighbors ascending, so the
-    # sorted edge lists come out in lexicographic order.
+    # sorted edge lists come out in lexicographic order.  A branch is entered
+    # only when ``matchable`` says its rest has a perfect matching, so every
+    # branch yields one: polynomial delay.
     if mask == 0:
         yield ()
         return
@@ -308,8 +312,43 @@ def _perfect_matchings(adj: Sequence[int], mask: int) -> Iterator[tuple[tuple[in
     v = v_bit.bit_length() - 1
     rest = mask ^ v_bit
     for w in iter_bits(adj[v] & rest):
-        for tail in _perfect_matchings(adj, rest ^ (1 << w)):
-            yield ((v, w),) + tail
+        sub = rest ^ (1 << w)
+        if matchable(sub):
+            for tail in _perfect_matchings(adj, sub, matchable):
+                yield ((v, w),) + tail
+
+
+def _matchable_masks(g: Graph) -> Callable[[int], bool]:
+    """A memoized test of whether G[mask] has a perfect matching, for each
+    vertex mask of ``g``, in polynomial time per mask: greedy pairing first,
+    which settles dense graphs, then one blossom matching."""
+    adj, n = g.adj, g.n
+    memo = {0: True}
+
+    def matchable(mask: int) -> bool:
+        found = memo.get(mask)
+        if found is None:
+            found = _pairs_greedily(adj, mask)
+            if not found:
+                rows = tuple(row & mask if mask >> v & 1 else 0 for v, row in enumerate(adj))
+                found = 2 * len(maximum_matching(Graph._trusted(n, rows)).edges) == mask.bit_count()
+            memo[mask] = found
+        return found
+
+    return matchable
+
+
+def _pairs_greedily(adj: Sequence[int], mask: int) -> bool:
+    """Whether pairing each lowest unpaired vertex of ``mask`` with its
+    lowest unpaired neighbour pairs them all."""
+    while mask:
+        v_bit = mask & -mask
+        mask ^= v_bit
+        nbrs = adj[v_bit.bit_length() - 1] & mask
+        if not nbrs:
+            return False
+        mask ^= nbrs & -nbrs
+    return True
 
 
 def enumerate_perfect_matchings(
@@ -318,17 +357,19 @@ def enumerate_perfect_matchings(
     """All perfect matchings in deterministic lexicographic order.
 
     Truncates at ``limit`` and flags the truncation; with ``strict`` a
-    truncated enumeration raises instead.  Intended for small orders.  A
-    graph without a perfect matching, odd orders included, is settled by
-    one blossom matching before the branching search, which would
-    otherwise try every partial matching to find none.
+    truncated enumeration raises instead.  The branching search enters a
+    branch only when the rest of its vertices has a perfect matching, a
+    test memoized per vertex mask, so it spends polynomial time per
+    matching and settles a graph without any, odd orders included, in one
+    test.
     """
     if limit < 1:
         raise PreconditionUnmet("limit must be at least 1")
     out: list[Matching] = []
     truncated = False
-    if has_perfect_matching(g):
-        for pairs in _perfect_matchings(g.adj, g.vertex_mask):
+    matchable = _matchable_masks(g)
+    if matchable(g.vertex_mask):
+        for pairs in _perfect_matchings(g.adj, g.vertex_mask, matchable):
             if len(out) == limit:
                 truncated = True
                 break

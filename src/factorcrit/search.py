@@ -65,12 +65,10 @@ Two rules cut the orderly tests further without changing any output:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -119,9 +117,11 @@ _Parent = tuple[tuple[int, ...], set[tuple[int, ...]]]
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 # A short record's line without the encoder, whose encode builds a new C
 # encoder per call: that took most of a degree-gated record's time.
-_SHORT_LINE = '{"graph6": %s, "kfc": %s, "minimal": false}\n'
-# The line of a degree-gated graph, which is never k-factor-critical.
-_GATED_LINE = _SHORT_LINE % ("%s", "false")
+_SHORT_LINE = '{"graph6": "%s", "kfc": %s, "minimal": false}\n'
+# A run of degree-gated graphs, which are never k-factor-critical, is
+# written as one text: _GATED_HEAD + _GATED_SEP.join(lines) + _GATED_TAIL.
+_GATED_HEAD, _GATED_TAIL = (_SHORT_LINE % ("%s", "false")).split("%s")
+_GATED_SEP = _GATED_TAIL + _GATED_HEAD
 
 
 def _column_codes(adj: Sequence[int], n: int) -> list[int]:
@@ -371,9 +371,10 @@ class Catalog:
     them.  The survey's degree gate reads one more column, each graph's
     minimum degree, derived from the rows on first use.  Rows and column
     are derived, not fields: equality, hashing and
-    ``dataclasses.replace`` see only the lines.  A malformed line, or one of
-    another order than ``n``, raises ``MalformedEncoding`` on first use,
-    before anything else happens.
+    ``dataclasses.replace`` see only the lines.  A malformed line, one of
+    another order than ``n``, or one with a header or whitespace around its
+    graph6 text, raises ``MalformedEncoding`` on first use, before anything
+    else happens: every line a catalog holds is bare graph6.
     """
 
     n: int
@@ -394,8 +395,11 @@ class Catalog:
         the narrowest array type that holds ``n`` bits, so that they take
         about the memory of the lines or less."""
         n, rows = self.n, _row_array(self.n)
+        size = 1 + (n * (n - 1) // 2 + 5) // 6  # the bytes of an order-n graph6 line
         for line in self.graph6_lines:
             rows.extend(_of_order(parse_graph6(line), n).adj)
+            if len(line) != size:
+                raise MalformedEncoding(f"graph6 line {line!r} has a header or whitespace around it")
         return rows
 
     @cached_property
@@ -646,8 +650,12 @@ def survey(
     touches ``jsonl_path``.  A k-factor-critical graph is
     (k+1)-edge-connected (Favaron; Yu), so each run of consecutive graphs
     with minimum degree at most k, read off the catalog's minimum-degree
-    column, is settled in bulk: its short records are written in one go and
-    only counted towards ``total``.
+    column, is settled in bulk and only counted towards ``total``.  Its
+    short records are written as one text: the run's graph6 lines joined
+    between the fixed parts of a gated record's line, with one backslash
+    escape over the whole, the same bytes as one encoder call per record.
+    A pool worker sends a run back as its lines, so it is written the same
+    way.
     """
     n = catalog.n
     if n < 3:
@@ -667,8 +675,8 @@ def survey(
     try:
         for item in _iter_records(catalog, skip, k, jobs):
             if not isinstance(item, dict):  # a run of degree-gated graphs' lines
-                if sink is not None:
-                    sink.write("".join(map(_GATED_LINE.__mod__, map(encode_basestring_ascii, item))))
+                if sink is not None:  # bare graph6, decoded above: see _escaped
+                    sink.write(_escaped(_GATED_HEAD + _GATED_SEP.join(item) + _GATED_TAIL))
                 report.total += len(item)
                 continue
             if sink is not None:
@@ -683,11 +691,18 @@ def survey(
 def _jsonl_line(record: dict) -> str:
     """``_JSONL_ENCODER``'s line for ``record``.  A short record, keyed
     graph6, kfc and minimal only, is written from ``_SHORT_LINE``: its
-    minimal is false, and its graph6 text, whose bytes 63-126 include a
-    backslash, is escaped as the encoder escapes it."""
+    minimal is false, and its graph6 text is escaped by ``_escaped``."""
     if len(record) == 3:
-        return _SHORT_LINE % (encode_basestring_ascii(record["graph6"]), "true" if record["kfc"] else "false")
+        return _SHORT_LINE % (_escaped(record["graph6"]), "true" if record["kfc"] else "false")
     return _JSONL_ENCODER.encode(record) + "\n"
+
+
+def _escaped(text: str) -> str:
+    """``text`` with each backslash doubled, which is all that JSON escapes in
+    graph6 text: its bytes are 63-126.  Every line a survey writes is bare
+    graph6, since ``survey`` decodes the catalog, which checks each line,
+    before it opens the sink."""
+    return text.replace("\\", "\\\\")
 
 
 def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
@@ -732,6 +747,8 @@ def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[di
         return
     size = max(32, count // (jobs * 16))
     ranges = [(start, min(start + size, len(catalog))) for start in range(skip, len(catalog), size)]
+    import multiprocessing  # here, not at module level: only a pool needs it
+
     # fork passes the initializer's arguments unpickled: each worker inherits
     # the catalog with its rows
     with multiprocessing.get_context("fork").Pool(jobs, _start_worker, (catalog, k)) as pool:

@@ -506,6 +506,14 @@ def _src_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def test_cli_start_imports_no_process_pool():
+    """Only a survey pool needs ``multiprocessing``; a CLI process imports
+    it when one starts, not at start-up."""
+    check = "import sys, factorcrit.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_closed_stdout_ends_quietly_by_sigpipe():
     """``gen 8`` writes about 86 KB, more than a pipe holds, so a write

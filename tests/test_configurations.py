@@ -16,6 +16,8 @@ from factorcrit import (
     complete_graph,
     config_predicates,
     cycle_graph,
+    delete_vertices,
+    remove_edge,
     residual_family,
     wheel_graph,
 )
@@ -25,7 +27,9 @@ from factorcrit.configurations import (
     TEMPLATES,
     UNCLASSIFIED,
     ConfigurationMatch,
+    _residual,
 )
+from factorcrit.graph import bits_list
 from factorcrit.matching import tutte_violators
 from goldens import (
     CLASSIFICATION_GOLDEN,
@@ -207,6 +211,23 @@ def test_certify_minimal_edges_wheel():
         if entry.match is not None:
             assert entry.match.label in FAMILY_LABELS[entry.family] + (UNCLASSIFIED,)
             assert entry.match.label != UNCLASSIFIED
+
+
+def test_residual_rows_equal_the_deleted_subgraph(catalog):
+    """The residual G - e - S built row by row is the graph that
+    ``delete_vertices(remove_edge(g, u, v), S)`` builds, and the endpoints'
+    new labels are its index map's."""
+    checked = 0
+    for g in catalog(6):
+        for u, v in g.edges():
+            rest = g.vertex_mask & ~(1 << u | 1 << v)
+            for size in range(5):
+                for s in itertools.combinations(bits_list(rest), size):
+                    witness = sum(1 << w for w in s)
+                    expected, index = delete_vertices(remove_edge(g, u, v), witness)
+                    assert _residual(g, (u, v), witness) == (expected, index[u], index[v])
+                    checked += 1
+    assert checked > 10000
 
 
 def test_certify_minimal_edges_no_family():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -34,7 +35,7 @@ from factorcrit import (
     star_graph,
     wheel_graph,
 )
-from factorcrit.criticality import _has_table_witness, kfc_and_minimal
+from factorcrit.criticality import _edge_witnesses, _witness_complements, kfc_and_minimal
 from factorcrit.graph import bits_list
 from factorcrit.matching import TABLE_MAX_ORDER, PerfectMatcher, matchable_sets, subset_masks
 
@@ -210,6 +211,44 @@ def test_minimality_certificate():
         minimality_certificate(cycle_graph(6), 2)
 
 
+def _matcher_certificate(g: Graph, k: int):
+    """What ``minimality_certificate`` must return or raise, from the
+    matcher-based ``minimality_witness`` of each edge."""
+    if not is_k_factor_critical(g, k).verdict:
+        return NotCritical, f"graph is not {k}-factor-critical"
+    witnesses = {}
+    for e in g.edges():
+        found = minimality_witness(g, k, e)
+        if found is None:
+            return NotMinimallyCritical, f"edge {e} has no witness set"
+        witnesses[e] = found
+    return witnesses
+
+
+def _certificate(g: Graph, k: int):
+    try:
+        return minimality_certificate(g, k).witnesses
+    except (NotCritical, NotMinimallyCritical) as exc:
+        return type(exc), str(exc)
+
+
+def test_table_certificate_equals_the_matcher_path(catalog):
+    """The same witness for every edge, or the same error, on every graph
+    of order at most 7 at every valid k, on the minimal graphs of order 8,
+    and above the table's cap, where the matcher path runs."""
+    cases = [(g, k) for n in range(1, 8) for g in catalog(n) for k in range(n % 2, n, 2)]
+    cases += [(g, k) for g in catalog(8) for k in (0, 2, 4, 6) if kfc_and_minimal(g, k)[1]]
+    cases += [(complete_graph(TABLE_MAX_ORDER + 1), TABLE_MAX_ORDER - 1),
+              (complete_graph(TABLE_MAX_ORDER + 1), TABLE_MAX_ORDER - 3),
+              (cycle_graph(TABLE_MAX_ORDER + 2), 2)]
+    outcomes = collections.Counter()
+    for g, k in cases:
+        expected = _matcher_certificate(g, k)
+        assert _certificate(g, k) == expected, (g.edges(), k)
+        outcomes[expected[0] if isinstance(expected, tuple) else dict] += 1
+    assert outcomes[dict] > 50 and outcomes[NotCritical] and outcomes[NotMinimallyCritical] > 50, outcomes
+
+
 def test_ps_reduction_examples():
     g = remove_edge(complete_graph(6), 0, 1)
     assert ps_reduction_check(g, 2, 0, 1)
@@ -313,18 +352,23 @@ def test_table_path_at_k0_matches_definitional():
 
 def test_table_witness_per_edge_matches_definitional():
     # Every edge, not only up to the first removable one: e has a witness
-    # on the table iff G - e is not k-factor-critical.
+    # on the table iff G - e is not k-factor-critical, and the table's
+    # witness complements are those of the matcher's witness search.
     rng = random.Random(20261019)
     tested = []
     for n in range(9, TABLE_MAX_ORDER + 1):
         without, of_size = subset_masks(n)
         for k, p in itertools.product(_valid_ks(n, start=1), (0.5, 0.65, 0.8)):
             g = _random_graph(rng, n, p)
-            if not is_k_factor_critical(g, k).verdict:
+            matcher = PerfectMatcher(g)
+            if not is_k_factor_critical(g, k, matcher).verdict:
                 continue
             table = matchable_sets(g)
             for u, v in g.edges():
-                essential = _has_table_witness(g, table, of_size[n - k], without, u, v)
+                forced = _witness_complements(g.adj, table, of_size[n - k], without, u, v)
+                witnesses = _edge_witnesses(g, k, (u, v), matcher)
+                assert forced == sum(1 << (g.vertex_mask ^ s) for s in witnesses), (g.edges(), k, u, v)
+                essential = forced != 0
                 removable = is_k_factor_critical(remove_edge(g, u, v), k).verdict
                 assert essential == (not removable), (g.edges(), k, u, v)
                 tested.append(essential)

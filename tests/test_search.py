@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import random
 import re
 import time
@@ -683,7 +684,7 @@ def test_survey_pool_is_capped_at_the_cpu_count(monkeypatch):
             return map(func, items)
 
     fork = SimpleNamespace(Pool=Pool)
-    monkeypatch.setattr(search, "multiprocessing", SimpleNamespace(get_context=lambda method: fork))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
     cat = enumerate_catalog(7)
     expected = survey(cat, 3).to_json()
     monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
@@ -877,17 +878,27 @@ def test_catalog_slices_fold_to_the_whole(tmp_path: Path):
 
 def test_jsonl_line_equals_the_encoder(tmp_path: Path, monkeypatch):
     """Every written line, those of degree-gated runs included, is the
-    encoder's line for the record it holds."""
+    encoder's line for the record it holds, at jobs 1 and 2, whose files
+    are the same bytes."""
     encoder = json.JSONEncoder(sort_keys=True)
     kinds: collections.Counter = collections.Counter()
     backslashed = collections.Counter()
+    single_runs = 0
     path = tmp_path / "records.jsonl"
-    for n in range(3, 8):
-        cat = enumerate_catalog(n)
-        for k in valid_k_values(n):
-            survey(cat, k, jsonl_path=str(path))
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # K_4 passes the degree gate at k = 2 and "C\\" does not: gated runs of
+    # one and of two graphs, backslashed, which pool ranges of 32 split.
+    crafted = Catalog(4, "memory", "as-is", ("C~", "C\\", "C~", "C\\", "C\\", "C~") * 12)
+    sweeps = [(enumerate_catalog(n), k) for n in range(3, 8) for k in valid_k_values(n)] + [(crafted, 2)]
+    texts = {}
+    for jobs in (1, 2):
+        for index, (cat, k) in enumerate(sweeps):
+            survey(cat, k, jobs=jobs, jsonl_path=str(path))
+            text = path.read_text(encoding="utf-8")
+            assert texts.setdefault(index, text) == text
+            lines = text.splitlines(keepends=True)
             assert len(lines) == len(cat)
+            runs = [len(list(run)) for gated, run in itertools.groupby(d <= k for d in cat._min_degrees) if gated]
+            single_runs += runs.count(1)
             for line, degree in zip(lines, cat._min_degrees):
                 record = json.loads(line)
                 assert line == encoder.encode(record) + "\n"
@@ -896,6 +907,7 @@ def test_jsonl_line_equals_the_encoder(tmp_path: Path, monkeypatch):
     assert kinds[(3, False, False, False)] and kinds[(3, True, False, False)]  # short records
     assert any(verdicts and config for _size, _kfc, verdicts, config in kinds)  # minimal records
     assert backslashed[True] and backslashed[False]  # graph6 byte 92, gated and not
+    assert single_runs
 
     def failing(g, k):
         raise PreconditionUnmet("planted")
@@ -930,9 +942,12 @@ def test_degree_gated_graphs_skip_the_criticality_test(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("bad", ["garbage!!", "D??"], ids=["malformed", "order-5"])
+@pytest.mark.parametrize("bad", ["garbage!!", "D??", ">>graph6<<C~", "C~\t"],
+                         ids=["malformed", "order-5", "header", "padded"])
 def test_direct_catalog_with_bad_line_raises(tmp_path: Path, jobs, bad):
-    """The catalog is decoded before the sink opens, so no record is written."""
+    """The catalog is decoded before the sink opens, so no record is written.
+    A catalog line must be bare graph6, which its JSONL record holds as it
+    is."""
     cat = Catalog(4, "memory", "as-is", ("C~",) * 70 + (bad,))
     sink = tmp_path / "records.jsonl"
     with pytest.raises(MalformedEncoding):
