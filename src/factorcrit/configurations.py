@@ -118,20 +118,19 @@ class ResidualInstance:
         g._check_vertex(self.v)
         if self.u == self.v or g.has_edge(self.u, self.v):
             raise FamilyPreconditionUnmet("designated pair must be non-adjacent")
-        restored = add_edge(g, self.u, self.v)
         if self.family in (FAMILY_A, FAMILY_B):
-            if min(map(int.bit_count, restored.adj)) < 2:
+            if min(map(int.bit_count, add_edge(g, self.u, self.v).adj)) < 2:
                 raise FamilyPreconditionUnmet(
                     "restored graph has a pendent or isolated vertex"
                 )
         else:
             if min(map(int.bit_count, g.adj)) < 1:
                 raise FamilyPreconditionUnmet("residual graph has an isolated vertex")
-        # At order 6 or 8 a memoized matcher decides each of these in a few
-        # masks, several times faster than a blossom matching.
-        if PerfectMatcher(g).pm_exists(g.vertex_mask):
+        matcher = PerfectMatcher(g)
+        if matcher.pm_exists(g.vertex_mask):
             raise NotDeficient("residual graph has a perfect matching")
-        if not PerfectMatcher(restored).pm_exists(g.vertex_mask):
+        # G' + uv has a perfect matching iff G' or G' - u - v has one.
+        if not matcher.pm_exists(g.vertex_mask & ~(1 << self.u | 1 << self.v)):
             raise NotRestorable("adding the designated pair does not restore a matching")
 
 

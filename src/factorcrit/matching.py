@@ -4,8 +4,9 @@ The maximum-matching routine is an augmenting-path search with blossom
 contraction; the test suite checks it against the brute-force oracle in
 ``oracles`` on every small graph, and it decides whether a whole graph has a
 perfect matching.  Sweeps that probe many induced subgraphs of the same graph
-go through ``PerfectMatcher``, a memoized recursion over vertex subsets, so
-that they share work.
+go through ``PerfectMatcher``, which memoizes one decision per vertex mask
+and makes each new one in polynomial time: greedy pairing first, which
+settles dense masks, then one blossom matching on the mask's rows.
 
 Up to order ``TABLE_MAX_ORDER``, ``matchable_sets`` answers every such probe
 at once: it builds the 2^n-bit integer T whose bit M is set exactly when the
@@ -46,10 +47,10 @@ ALL_MODE_MAX_ORDER = 16
 # ``gallai_edmonds_barrier`` gives a barrier in polynomial time.
 VIOLATOR_MAX_ORDER = 19
 # Largest order for ``matchable_sets``, whose table has 2^n bits.  On graphs
-# of edge density 0.8 (one CPU, Python 3.11) the table takes 0.09 ms at order
-# 14, against 0.20 ms for ``PerfectMatcher`` to test 2-factor-criticality;
-# at order 16 it takes 0.44 ms against 0.22 ms, and each order beyond
-# doubles it.
+# of edge density 0.8 (one CPU, Python 3.11) the table takes 0.09-0.14 ms at
+# order 14, against 0.5-1.0 ms for ``PerfectMatcher`` to test
+# 2-factor-criticality; at order 16 it takes 0.44-0.51 ms against
+# 0.4-0.7 ms, and each order beyond doubles it.
 TABLE_MAX_ORDER = 14
 
 
@@ -120,7 +121,9 @@ class PerfectMatcher:
     """Memoized perfect-matching decisions over induced vertex subsets.
 
     One instance serves every subset query against the same graph; the memo is
-    keyed by the surviving-vertex bitset.  Not shared between graphs.
+    keyed by the surviving-vertex bitset.  Each new mask is decided in
+    polynomial time: by its parity, then by greedy pairing, then by one
+    blossom matching on the mask's rows.  Not shared between graphs.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -128,24 +131,13 @@ class PerfectMatcher:
         self._memo: dict[int, bool] = {0: True}
 
     def pm_exists(self, mask: int) -> bool:
-        memo = self._memo
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        if mask.bit_count() & 1:
-            memo[mask] = False
-            return False
-        v_bit = mask & -mask
-        rest = mask ^ v_bit
-        nbrs = self.adj[v_bit.bit_length() - 1] & rest
-        found = False
-        while nbrs:
-            w_bit = nbrs & -nbrs
-            nbrs ^= w_bit
-            if self.pm_exists(rest ^ w_bit):
-                found = True
-                break
-        memo[mask] = found
+        found = self._memo.get(mask)
+        if found is None:
+            adj, size = self.adj, mask.bit_count()
+            found = not size & 1 and (_pairs_greedily(adj, mask) or _maximum_mates(
+                [row & mask if mask >> v & 1 else 0 for v, row in enumerate(adj)]
+            ).count(-1) == len(adj) - size)
+            self._memo[mask] = found
         return found
 
 
@@ -204,24 +196,31 @@ def maximum_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching via augmenting paths with blossom
     contraction.  Output is normalized (edges sorted); the cardinality is the
     contract, the particular matching is not."""
-    n = g.n
-    adj = [bits_list(row) for row in g.adj]
+    mate = _maximum_mates(g.adj)
+    return Matching.from_pairs(g, [(v, w) for v, w in enumerate(mate) if w > v])
+
+
+def _maximum_mates(rows: Sequence[int]) -> list[int]:
+    """Each vertex's mate in a maximum matching of the graph with adjacency
+    bitsets ``rows``, or -1 where it is exposed: greedy pairing, then one
+    augmenting-path search from each exposed vertex that has a neighbour."""
+    n = len(rows)
     mate = [-1] * n
-    for v in range(n):
-        if mate[v] == -1:
-            for u in adj[v]:
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
+    free = (1 << n) - 1
+    for v, row in enumerate(rows):
+        nbrs = row & free
+        if free >> v & 1 and nbrs:
+            w_bit = nbrs & -nbrs
+            w = w_bit.bit_length() - 1
+            mate[v], mate[w] = w, v
+            free ^= 1 << v | w_bit
     for root in range(n):
-        if mate[root] == -1:
-            _augment_from(root, adj, mate, n)
-    edges = [(v, mate[v]) for v in range(n) if mate[v] > v]
-    return Matching.from_pairs(g, edges)
+        if mate[root] == -1 and rows[root]:
+            _augment_from(root, rows, mate, n)
+    return mate
 
 
-def _augment_from(root: int, adj: Sequence[list[int]], mate: list[int], n: int) -> bool:
+def _augment_from(root: int, rows: Sequence[int], mate: list[int], n: int) -> bool:
     parent = [-1] * n
     base = list(range(n))
     in_tree = [False] * n
@@ -253,7 +252,11 @@ def _augment_from(root: int, adj: Sequence[list[int]], mate: list[int], n: int) 
     end = -1
     while queue and end == -1:
         v = queue.popleft()
-        for to in adj[v]:
+        nbrs = rows[v]
+        while nbrs:  # each neighbour of v, ascending
+            to_bit = nbrs & -nbrs
+            nbrs ^= to_bit
+            to = to_bit.bit_length() - 1
             if base[v] == base[to] or mate[v] == to:
                 continue
             if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
@@ -318,26 +321,6 @@ def _perfect_matchings(
                 yield ((v, w),) + tail
 
 
-def _matchable_masks(g: Graph) -> Callable[[int], bool]:
-    """A memoized test of whether G[mask] has a perfect matching, for each
-    vertex mask of ``g``, in polynomial time per mask: greedy pairing first,
-    which settles dense graphs, then one blossom matching."""
-    adj, n = g.adj, g.n
-    memo = {0: True}
-
-    def matchable(mask: int) -> bool:
-        found = memo.get(mask)
-        if found is None:
-            found = _pairs_greedily(adj, mask)
-            if not found:
-                rows = tuple(row & mask if mask >> v & 1 else 0 for v, row in enumerate(adj))
-                found = 2 * len(maximum_matching(Graph._trusted(n, rows)).edges) == mask.bit_count()
-            memo[mask] = found
-        return found
-
-    return matchable
-
-
 def _pairs_greedily(adj: Sequence[int], mask: int) -> bool:
     """Whether pairing each lowest unpaired vertex of ``mask`` with its
     lowest unpaired neighbour pairs them all."""
@@ -367,7 +350,7 @@ def enumerate_perfect_matchings(
         raise PreconditionUnmet("limit must be at least 1")
     out: list[Matching] = []
     truncated = False
-    matchable = _matchable_masks(g)
+    matchable = PerfectMatcher(g).pm_exists
     if matchable(g.vertex_mask):
         for pairs in _perfect_matchings(g.adj, g.vertex_mask, matchable):
             if len(out) == limit:
@@ -434,12 +417,13 @@ def gallai_edmonds_barrier(g: Graph) -> int:
     attains the deficiency n - 2 nu.  Unlike ``tutte_violators`` it need not
     be a smallest such set.  One blossom matching per vertex.
     """
-    size = len(maximum_matching(g).edges)
+    exposed = _maximum_mates(g.adj).count(-1)
     d_set = 0
     for v in range(g.n):
         bit = 1 << v
-        rows = tuple(0 if u == v else row & ~bit for u, row in enumerate(g.adj))
-        if len(maximum_matching(Graph._trusted(g.n, rows)).edges) == size:
+        # G - v, with v kept as an isolated vertex, has as many exposed
+        # vertices as G exactly when nu(G - v) = nu(G).
+        if _maximum_mates([0 if u == v else row & ~bit for u, row in enumerate(g.adj)]).count(-1) == exposed:
             d_set |= bit
     reach = 0
     for v in iter_bits(d_set):

@@ -572,3 +572,17 @@ def test_sweeps_over_the_subset_budget_are_refused_at_once(call, outcome):
                           text=True, env=_src_env(), timeout=30)
     result, seconds = proc.stdout.split()
     assert result == outcome and float(seconds) < 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["kfc", "--k", "0"], ["minimal", "--k", "2"]])
+def test_matcher_answers_on_a_large_bipartite_graph_exit_at_once(argv):
+    """K_{30,32} has no perfect matching, so both commands answer no and
+    exit 1.  Each runs in a subprocess, so that a matcher that hangs on it
+    fails the test at the timeout instead of hanging the suite."""
+    g6 = encode_graph6(complete_bipartite(30, 32))
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "factorcrit.cli", *argv, g6], capture_output=True,
+                          text=True, env=_src_env(), timeout=30)
+    assert time.monotonic() - started <= 5.0
+    assert proc.returncode == 1, proc.stderr
+    assert "critical: no" in proc.stdout

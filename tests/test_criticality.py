@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from factorcrit import (
     ParityMismatch,
     PreconditionUnmet,
     TheoremViolated,
+    complete_bipartite,
     complete_graph,
     connectivity,
     cycle_graph,
@@ -390,3 +392,22 @@ def test_memo_fallback_above_the_table_cap_matches_definitional(n):
         assert kfc_and_minimal(g, k) == expected, (g.edges(), k)
         verdicts.add(expected)
     assert verdicts >= {(True, False), (True, True)}
+
+
+@pytest.mark.parametrize("a", [20, 30])
+def test_criticality_of_large_unbalanced_bipartite_graphs_is_polynomial(a):
+    """K_{a,a+2} is above the table's cap and has no perfect matching, nor
+    does it keep one after losing two vertices of its smaller side, so every
+    answer below asks the matcher about masks without one.  A recursion
+    over vertex subsets took 1.46 s for K_{16,18} at k = 0 on one core of a
+    2-CPU machine, about 3x more per vertex added to each side."""
+    g = complete_bipartite(a, a + 2)
+    started = time.monotonic()
+    assert is_k_factor_critical(g, 0).failing_set == 0
+    assert bits_list(is_k_factor_critical(g, 2).failing_set) == [0, 1]
+    assert kfc_and_minimal(g, 2) == (False, False)
+    assert time.monotonic() - started <= 2.0
+    started = time.monotonic()
+    with pytest.raises(NotCritical):
+        minimality_witness(g, 2, (0, a))
+    assert time.monotonic() - started <= 2.0

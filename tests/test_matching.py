@@ -313,6 +313,7 @@ def test_whole_graph_matching_decisions_are_polynomial(sides):
     started = time.monotonic()
     assert not has_perfect_matching(g)
     assert not forced_edge(g, (0, sides[0]))
+    assert not PerfectMatcher(g).pm_exists(g.vertex_mask)
     assert time.monotonic() - started <= 2.0
 
 
