@@ -6,7 +6,9 @@ contraction; the test suite checks it against the brute-force oracle in
 perfect matching.  Sweeps that probe many induced subgraphs of the same graph
 go through ``PerfectMatcher``, which memoizes one decision per vertex mask
 and makes each new one in polynomial time: greedy pairing first, which
-settles dense masks, then one blossom matching on the mask's rows.
+settles dense masks, then blossom searches on the mask's rows from the
+vertices it left exposed, stopping at the first that finds no augmenting
+path.
 
 Up to order ``TABLE_MAX_ORDER``, ``matchable_sets`` answers every such probe
 at once: it builds the 2^n-bit integer T whose bit M is set exactly when the
@@ -123,7 +125,8 @@ class PerfectMatcher:
     One instance serves every subset query against the same graph; the memo is
     keyed by the surviving-vertex bitset.  Each new mask is decided in
     polynomial time: by its parity, then by greedy pairing, then by one
-    blossom matching on the mask's rows.  Not shared between graphs.
+    augmenting-path search from each vertex that pairing left exposed,
+    answering no at the first that fails.  Not shared between graphs.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -133,10 +136,10 @@ class PerfectMatcher:
     def pm_exists(self, mask: int) -> bool:
         found = self._memo.get(mask)
         if found is None:
-            adj, size = self.adj, mask.bit_count()
-            found = not size & 1 and (_pairs_greedily(adj, mask) or _maximum_mates(
-                [row & mask if mask >> v & 1 else 0 for v, row in enumerate(adj)]
-            ).count(-1) == len(adj) - size)
+            adj = self.adj
+            found = not mask.bit_count() & 1 and (
+                _pairs_greedily(adj, mask) or _augments_every_root(
+                    [row & mask if mask >> v & 1 else 0 for v, row in enumerate(adj)], mask))
             self._memo[mask] = found
         return found
 
@@ -205,6 +208,27 @@ def _maximum_mates(rows: Sequence[int]) -> list[int]:
     bitsets ``rows``, or -1 where it is exposed: greedy pairing, then one
     augmenting-path search from each exposed vertex that has a neighbour."""
     n = len(rows)
+    mate = _greedy_mates(rows)
+    for root in range(n):
+        if mate[root] == -1 and rows[root]:
+            _augment_from(root, rows, mate, n)
+    return mate
+
+
+def _augments_every_root(rows: Sequence[int], mask: int) -> bool:
+    """Whether the graph with adjacency bitsets ``rows``, whose edges lie
+    inside ``mask``, has a matching that covers ``mask``.  Stops at the
+    first vertex left exposed by greedy pairing from which no augmenting
+    path starts: by Edmonds' lemma no later augmentation covers it."""
+    n = len(rows)
+    mate = _greedy_mates(rows)
+    return all(_augment_from(v, rows, mate, n) for v in iter_bits(mask) if mate[v] == -1)
+
+
+def _greedy_mates(rows: Sequence[int]) -> list[int]:
+    """Mates from pairing each vertex, ascending, with its lowest unpaired
+    neighbour while both are unpaired; -1 where a vertex stays unpaired."""
+    n = len(rows)
     mate = [-1] * n
     free = (1 << n) - 1
     for v, row in enumerate(rows):
@@ -214,9 +238,6 @@ def _maximum_mates(rows: Sequence[int]) -> list[int]:
             w = w_bit.bit_length() - 1
             mate[v], mate[w] = w, v
             free ^= 1 << v | w_bit
-    for root in range(n):
-        if mate[root] == -1 and rows[root]:
-            _augment_from(root, rows, mate, n)
     return mate
 
 
@@ -379,8 +400,16 @@ def tutte_violators(g: Graph, mode: str = "first-minimal") -> list[TutteCertific
     within a size, so minimality of the reported X (for the minimal modes) and
     determinism are part of the contract.  The result is empty exactly when
     the graph has a perfect matching; no matching shortcut is taken, the
-    subset search itself proves emptiness.  The search is exponential, so
-    orders above ``VIOLATOR_MAX_ORDER`` raise ``LimitExceeded``.
+    subset search itself proves emptiness.
+
+    A size s is skipped when the minimum degree rules it out.  A violator X
+    of size s leaves q > s odd components, and q has the parity of n - s,
+    so q >= s + 2 - n % 2; the smallest odd component then has at most
+    (n - s) // q vertices, and each of its vertices has degree at most
+    that minus one plus s.  A skipped size holds no violator, so every mode
+    returns what the plain sweep returns, and the bound reads only degrees,
+    never a matching.  The search is exponential, so orders above
+    ``VIOLATOR_MAX_ORDER`` raise ``LimitExceeded``.
     """
     if mode not in VIOLATOR_MODES:
         raise PreconditionUnmet(f"mode must be one of {VIOLATOR_MODES}")
@@ -395,8 +424,11 @@ def tutte_violators(g: Graph, mode: str = "first-minimal") -> list[TutteCertific
         )
     adj = g.adj
     full = g.vertex_mask
+    n, min_degree = g.n, g.min_degree()
     found: list[TutteCertificate] = []
-    for size in range(g.n + 1):
+    for size in range(n + 1):
+        if min_degree > size - 1 + (n - size) // (size + 2 - n % 2):
+            continue
         for x_mask in k_sets(full, size):
             if _odd_component_count(adj, full & ~x_mask) > size:
                 found.append(TutteCertificate.build(g, x_mask))

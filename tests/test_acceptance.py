@@ -64,6 +64,7 @@ from goldens import (
     classification_digest,
     verdicts_digest,
 )
+from test_matching import assert_violator_modes_match_the_plain_sweep
 
 # Deselect with ``pytest -m "not acceptance"`` for a fast local loop.
 pytestmark = pytest.mark.acceptance
@@ -167,6 +168,13 @@ def test_criterion_1_matching_duality(lines):
     elapsed = time.monotonic() - started
     _criterion(1, True, f"duality and deficiency formula on {checked} graphs "
                         f"of order <= 8 ({elapsed:.0f}s, target 60s)")
+
+
+def test_violator_modes_match_the_plain_sweep_at_order_8(lines):
+    """The unit tier checks orders up to 7; here every order-8 graph, in
+    each mode, against the sweep that skips no subset size."""
+    for line in lines[8]:
+        assert_violator_modes_match_the_plain_sweep(parse_graph6(line))
 
 
 def test_criterion_2_criticality_oracle_equivalence(lines):

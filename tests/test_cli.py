@@ -574,6 +574,19 @@ def test_sweeps_over_the_subset_budget_are_refused_at_once(call, outcome):
     assert result == outcome and float(seconds) < 1, proc.stderr
 
 
+@pytest.mark.parametrize("sides", [(8, 10), (6, 12)])
+def test_pm_reports_the_smaller_side_of_an_unbalanced_complete_bipartite_graph(sides):
+    """In a fresh process, as a user runs it: ``pm`` answers no, exits 1 and
+    reports the smaller side as the smallest violator."""
+    proc = subprocess.run([sys.executable, "-m", "factorcrit.cli", "pm", "--json",
+                           encode_graph6(complete_bipartite(*sides))],
+                          capture_output=True, text=True, env=_src_env(), timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    result = json.loads(proc.stdout)["results"][0]
+    assert result["perfect_matching"] is False
+    assert result["violator"]["x"] == list(range(sides[0]))
+
+
 @pytest.mark.parametrize("argv", [["kfc", "--k", "0"], ["minimal", "--k", "2"]])
 def test_matcher_answers_on_a_large_bipartite_graph_exit_at_once(argv):
     """K_{30,32} has no perfect matching, so both commands answer no and

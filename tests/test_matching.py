@@ -38,6 +38,7 @@ from factorcrit.matching import (
     DEFAULT_PM_LIMIT,
     TABLE_MAX_ORDER,
     VIOLATOR_MAX_ORDER,
+    VIOLATOR_MODES,
     matchable_sets,
     subset_masks,
 )
@@ -287,6 +288,41 @@ def test_tutte_violator_modes():
         tutte_violators(star_graph(3), "bogus")
     with pytest.raises(PreconditionUnmet):
         tutte_violators(complete_graph(17), "all")
+
+
+def _plain_violators(g: Graph) -> list[int]:
+    """Every Tutte violator of ``g`` as a mask, by size ascending and then
+    lexicographically, with no size skipped."""
+    found = []
+    for size in range(g.n + 1):
+        for xs in itertools.combinations(range(g.n), size):
+            x = sum(1 << v for v in xs)
+            if _odd_component_count(g.adj, g.vertex_mask & ~x) > size:
+                found.append(x)
+    return found
+
+
+def assert_violator_modes_match_the_plain_sweep(g: Graph) -> None:
+    everything = _plain_violators(g)
+    smallest = [x for x in everything if x.bit_count() == everything[0].bit_count()]
+    expected = {"first-minimal": smallest[:1], "all-minimal": smallest, "all": everything}
+    for mode in VIOLATOR_MODES:
+        assert [c.x_set for c in tutte_violators(g, mode)] == expected[mode], (g.n, g.adj, mode)
+
+
+def test_violator_modes_match_the_plain_sweep(catalog):
+    for n in range(1, 8):
+        for g in catalog(n):
+            assert_violator_modes_match_the_plain_sweep(g)
+
+
+@pytest.mark.parametrize("sides", [(a, b) for a in range(1, 9) for b in range(a + 2, 19 - a, 2)])
+def test_violators_of_unbalanced_complete_bipartite_graphs(sides):
+    """K_{a,b} with a < b and a + b even: the a-side is its only smallest
+    violator, at a size the minimum degree a does not rule out."""
+    g = complete_bipartite(*sides)
+    for mode in ("first-minimal", "all-minimal"):
+        assert [c.x_set for c in tutte_violators(g, mode)] == [(1 << sides[0]) - 1]
 
 
 def test_certificate_parity_invariant(catalog):
