@@ -375,6 +375,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.file is not None and args.n is None:
             print("survey --file needs --n for the declared order", file=sys.stderr)
             return EXIT_USAGE
+        if args.gen is not None and args.n not in (None, args.gen):
+            print(f"survey --n {args.n} contradicts --gen {args.gen}", file=sys.stderr)
+            return EXIT_USAGE
+    if getattr(args, "jobs", 1) < 1:
+        print(f"{args.command} --jobs must be at least 1, not {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except TheoremViolated as exc:

@@ -17,24 +17,27 @@ the edges of a certificate.
 The same search decides minimality.  Let G be k-factor-critical.  A k-set S
 containing u or v leaves (G - e) - S = G - S, which has a perfect matching,
 so G - e is k-factor-critical exactly when no k-set avoiding u and v is a
-witness for e.  Above ``TABLE_MAX_ORDER``, ``kfc_and_minimal`` therefore
-tests only the C(n-2, k) k-sets that avoid e, against the matcher its
-k-factor-critical test filled.
+witness for e.  Both ``kfc_and_minimal`` and ``minimality_certificate``
+therefore ask ``_witness_search``, which picks the source once per graph,
+tests criticality on it and gives each edge its lexicographically first
+witness.  Above ``TABLE_MAX_ORDER`` that is one memoized matcher, tried on
+the C(n-2, k) k-sets that avoid e.
 
-Up to ``TABLE_MAX_ORDER`` it reads both answers off the table T of
-``matching.matchable_sets`` instead, with c = n - k.  G is k-factor-critical
-iff T holds every c-set, ``T & of_size[c] == of_size[c]``.  The c-sets M
-holding u and v in which u has a perfect matching with another neighbour w
-are ``(T & without[u] & without[w]) << (2^u + 2^w)``, so e = uv has a
-witness iff some c-set holding u and v lies in none of them.  The c-sets
-left are the complements of e's witnesses, so ``minimality_certificate``
-reads the lexicographically first witness of each edge off the same table.
+Up to ``TABLE_MAX_ORDER`` it is the table T of ``matching.matchable_sets``
+instead, with c = n - k.  G is k-factor-critical iff T holds every c-set,
+``T & of_size[c] == of_size[c]``.  The c-sets M holding u and v in which u
+has a perfect matching with another neighbour w are
+``(T & without[u] & without[w]) << (2^u + 2^w)``, so e = uv has a witness
+iff some c-set holding u and v lies in none of them.  The c-sets left are
+the complements of e's witnesses, and a greedy walk over the vertices reads
+the lexicographically first witness off them with at most one AND per
+vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     EdgeAbsent,
@@ -135,26 +138,15 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
     G - uv is not when u or v has degree k+1, which makes uv essential
     without a test.  A valid k has k < n and the parity
     of n, so n - k >= 2 always holds here.  Every other edge is essential
-    exactly when it has a witness set (see the module docstring), read off
-    the table of matchable sets up to ``TABLE_MAX_ORDER`` and searched for
-    with one memoized matcher above it.
+    exactly when ``_witness_search`` finds it a witness set (see the module
+    docstring).
     """
     _validate_k(g, k)
     n, adj = g.n, g.adj
     degrees = list(map(int.bit_count, adj))
-    if min(degrees) <= k:
+    first_witness = None if min(degrees) <= k else _witness_search(g, k)
+    if first_witness is None:
         return False, False
-    table = None
-    if n <= TABLE_MAX_ORDER:
-        table = matchable_sets(g)
-        without, of_size = subset_masks(n)
-        c_sets = of_size[n - k]
-        if table & c_sets != c_sets:
-            return False, False
-    else:
-        matcher = PerfectMatcher(g)
-        if not is_k_factor_critical(g, k, matcher).verdict:
-            return False, False
     tight = k + 1
     for u in range(n):
         if degrees[u] == tight:
@@ -164,15 +156,43 @@ def kfc_and_minimal(g: Graph, k: int) -> tuple[bool, bool]:
             v_bit = higher & -higher
             higher ^= v_bit
             v = v_bit.bit_length() - 1
-            if degrees[v] == tight:
-                continue
-            if table is not None:
-                essential = _witness_complements(adj, table, c_sets, without, u, v)
-            else:
-                essential = next(_edge_witnesses(g, k, (u, v), matcher), None) is not None
-            if not essential:
+            if degrees[v] != tight and first_witness(u, v) is None:
                 return True, False
     return True, True
+
+
+def _witness_search(g: Graph, k: int) -> Callable[[int, int], int | None] | None:
+    """None when g is not k-factor-critical; otherwise the function giving
+    each edge uv its lexicographically first witness set, or None when uv
+    has none.  k must be valid for g.
+
+    Up to ``TABLE_MAX_ORDER`` both come off g's table of matchable sets,
+    built once.  The witness is read off the edge's ``_witness_complements``
+    by walking the vertices in ascending order: S takes w exactly when some
+    complement left avoids w, and then only those are kept.  Every
+    complement holds u and v, so neither joins S, and the walk stops when
+    one complement is left, at the latest after the last vertex.  Above the
+    cap one memoized matcher tests criticality and searches each edge's
+    k-sets in the order of ``k_sets``.
+    """
+    n, full = g.n, g.vertex_mask
+    if n > TABLE_MAX_ORDER:
+        matcher = PerfectMatcher(g)
+        if not is_k_factor_critical(g, k, matcher).verdict:
+            return None
+        return lambda u, v: next(_edge_witnesses(g, k, (u, v), matcher), None)
+    table = matchable_sets(g)
+    without, of_size = subset_masks(n)
+    c_sets = of_size[n - k]
+
+    def first_witness(u: int, v: int) -> int | None:
+        forced = _witness_complements(g.adj, table, c_sets, without, u, v)
+        w = 0
+        while forced & forced - 1:  # keep the c-sets that avoid w, if any: w joins S
+            forced = forced & without[w] or forced
+            w += 1
+        return full ^ (forced.bit_length() - 1) if forced else None
+    return first_witness if table & c_sets == c_sets else None
 
 
 def _witness_complements(
@@ -250,32 +270,14 @@ def minimality_certificate(g: Graph, k: int) -> MinimalityCertificate:
     """Witness sets for every edge; raises if the graph is not minimal.
 
     Each edge gets its lexicographically first witness, the one that
-    ``minimality_witness`` reports.  Up to ``TABLE_MAX_ORDER`` they are
-    read off g's table of matchable sets, built once: criticality as in
-    ``kfc_and_minimal``, then for each edge uv the first k-set S avoiding u
-    and v, in the order of ``k_sets``, whose G - S is among the edge's
-    ``_witness_complements``.  Above it, one memoized matcher tests
-    criticality and searches every edge's k-sets in the same order.
+    ``minimality_witness`` reports, from ``_witness_search``: read off g's
+    table of matchable sets up to ``TABLE_MAX_ORDER``, searched for with one
+    memoized matcher above it.
     """
     _validate_k(g, k)
-    full = g.vertex_mask
-    if g.n <= TABLE_MAX_ORDER:
-        table = matchable_sets(g)
-        without, of_size = subset_masks(g.n)
-        c_sets = of_size[g.n - k]
-        if table & c_sets != c_sets:
-            raise NotCritical(f"graph is not {k}-factor-critical")
-
-        def first_witness(u: int, v: int) -> int | None:
-            forced = _witness_complements(g.adj, table, c_sets, without, u, v)
-            return next((s for s in k_sets(full & ~(1 << u | 1 << v), k) if forced >> (full ^ s) & 1), None)
-    else:
-        matcher = PerfectMatcher(g)
-        if not is_k_factor_critical(g, k, matcher).verdict:
-            raise NotCritical(f"graph is not {k}-factor-critical")
-
-        def first_witness(u: int, v: int) -> int | None:
-            return next(_edge_witnesses(g, k, (u, v), matcher), None)
+    first_witness = _witness_search(g, k)
+    if first_witness is None:
+        raise NotCritical(f"graph is not {k}-factor-critical")
     witnesses: dict[tuple[int, int], int] = {}
     for e in g.edges():
         found = first_witness(*e)

@@ -610,11 +610,11 @@ def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
                 report = config_predicates(g, e, entry.witness, entry.match)
                 if not report.hypothesis_met:
                     config["vacuous_edges"] += 1
-                elif report.all_passed:
-                    config["pred_passed"] += len(report.checks)
-                else:
-                    config["pred_failed"] += sum(1 for c in report.checks if not c.passed)
-                    config["pred_passed"] += sum(1 for c in report.checks if c.passed)
+                    continue
+                failed = sum(not c.passed for c in report.checks)
+                config["pred_passed"] += len(report.checks) - failed
+                config["pred_failed"] += failed
+                if failed:
                     failures.append(CONFIG_PREDICATES)
             record["config"] = config
         record["failures"] = failures
@@ -707,30 +707,39 @@ def _escaped(text: str) -> str:
 
 def _check_resume(path: str, lines: Sequence[str], skip: int) -> None:
     """Check that ``path`` holds one complete record for each of the first
-    ``skip`` catalog ``lines``, in order, then cut off any trailing fragment
-    without a newline so that appending continues the stream."""
+    ``skip`` catalog ``lines``, in order, then cut the file after its last
+    newline, dropping any torn fragment, so that appending continues the
+    stream.  The file is read one line at a time, and a wrong record count
+    is reported before a wrong record."""
+    count = complete = 0
+    mismatch = None
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            for raw in handle:
+                if not raw.endswith(b"\n"):
+                    break  # a torn last line
+                count += 1
+                complete += len(raw)
+                if mismatch is None and count <= skip and _record_graph6(raw) != lines[count - 1]:
+                    mismatch = count
     except OSError as exc:
         raise ResumeMismatch(f"cannot resume {path}: {exc}") from exc
-    complete = data[:data.rfind(b"\n") + 1]
-    records = complete.splitlines()
-    if len(records) != skip:
+    if count != skip:
         raise ResumeMismatch(
-            f"{path} holds {len(records)} complete records; resuming after {skip} "
+            f"{path} holds {count} complete records; resuming after {skip} "
             f"of {len(lines)} catalog graphs needs exactly {skip}"
         )
-    for lineno, (raw, line) in enumerate(zip(records, lines), start=1):
-        try:
-            graph6 = json.loads(raw).get("graph6")
-        except (ValueError, AttributeError):
-            graph6 = None
-        if graph6 != line:
-            raise ResumeMismatch(f"{path}:{lineno}: not the record of catalog graph {line}")
-    if len(complete) < len(data):
-        with open(path, "r+b") as handle:
-            handle.truncate(len(complete))
+    if mismatch is not None:
+        raise ResumeMismatch(f"{path}:{mismatch}: not the record of catalog graph {lines[mismatch - 1]}")
+    os.truncate(path, complete)
+
+
+def _record_graph6(raw: bytes) -> object:
+    """The graph6 field of a JSONL record, or None when it has none."""
+    try:
+        return json.loads(raw).get("graph6")
+    except (ValueError, AttributeError):
+        return None
 
 
 def _iter_records(catalog: Catalog, skip: int, k: int, jobs: int) -> Iterator[dict | Sequence[str]]:

@@ -132,6 +132,17 @@ def test_survey_usage_errors(capsys):
     assert code == 2 and "exactly one" in err
     code, _, err = run_cli(["survey", "--file", "x.g6", "--k", "2"], capsys=capsys)
     assert code == 2 and "--n" in err
+    code, out, err = run_cli(["survey", "--gen", "6", "--n", "9", "--k", "2"], capsys=capsys)
+    assert (code, out, err) == (2, "", "survey --n 9 contradicts --gen 6\n")
+    assert run_cli(["survey", "--gen", "6", "--n", "6", "--k", "4", "--jobs", "1"], capsys=capsys)[0] == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [["survey", "--gen", "6", "--k", "2"], ["hunt", "--n-from", "4", "--n-to", "6"]],
+                         ids=["survey", "hunt"])
+def test_jobs_below_one_exits_2(capsys, command, jobs):
+    assert run_cli(command + ["--jobs", jobs], capsys=capsys) == (
+        2, "", f"{command[0]} --jobs must be at least 1, not {jobs}\n")
 
 
 @pytest.mark.parametrize("order, k, message", [

@@ -37,7 +37,7 @@ from factorcrit import (
     star_graph,
     wheel_graph,
 )
-from factorcrit.criticality import _edge_witnesses, _witness_complements, kfc_and_minimal
+from factorcrit.criticality import _edge_witnesses, _witness_complements, _witness_search, kfc_and_minimal
 from factorcrit.graph import bits_list
 from factorcrit.matching import TABLE_MAX_ORDER, PerfectMatcher, matchable_sets, subset_masks
 
@@ -354,8 +354,9 @@ def test_table_path_at_k0_matches_definitional():
 
 def test_table_witness_per_edge_matches_definitional():
     # Every edge, not only up to the first removable one: e has a witness
-    # on the table iff G - e is not k-factor-critical, and the table's
-    # witness complements are those of the matcher's witness search.
+    # on the table iff G - e is not k-factor-critical, the table's witness
+    # complements are those of the matcher's witness search, and the
+    # witness read off them is the search's first.
     rng = random.Random(20261019)
     tested = []
     for n in range(9, TABLE_MAX_ORDER + 1):
@@ -366,10 +367,12 @@ def test_table_witness_per_edge_matches_definitional():
             if not is_k_factor_critical(g, k, matcher).verdict:
                 continue
             table = matchable_sets(g)
+            first_witness = _witness_search(g, k)
             for u, v in g.edges():
                 forced = _witness_complements(g.adj, table, of_size[n - k], without, u, v)
-                witnesses = _edge_witnesses(g, k, (u, v), matcher)
+                witnesses = list(_edge_witnesses(g, k, (u, v), matcher))
                 assert forced == sum(1 << (g.vertex_mask ^ s) for s in witnesses), (g.edges(), k, u, v)
+                assert first_witness(u, v) == next(iter(witnesses), None), (g.edges(), k, u, v)
                 essential = forced != 0
                 removable = is_k_factor_critical(remove_edge(g, u, v), k).verdict
                 assert essential == (not removable), (g.edges(), k, u, v)

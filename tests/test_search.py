@@ -10,6 +10,7 @@ import multiprocessing
 import random
 import re
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -490,11 +491,12 @@ def test_survey_resume_drops_torn_last_line(tmp_path: Path, catalog):
     assert path.read_bytes() == data
 
 
-@pytest.mark.parametrize("kept", [29, 34], ids=["short", "long"])
+@pytest.mark.parametrize("kept", [slice(29), slice(34), slice(1, 30)], ids=["short", "long", "short_and_shifted"])
 def test_survey_resume_rejects_wrong_record_count(tmp_path: Path, catalog, kept):
+    # A wrong count is reported even when the records kept are wrong too.
     cat = Catalog.from_graphs(5, catalog(5))
     path, data = _full_jsonl(tmp_path, cat)
-    partial = "".join(data.decode().splitlines(keepends=True)[:kept])
+    partial = "".join(data.decode().splitlines(keepends=True)[kept])
     path.write_text(partial)
     with pytest.raises(ResumeMismatch, match="exactly 30"):
         survey(cat, 1, jsonl_path=str(path), skip=30)
@@ -514,6 +516,23 @@ def test_survey_resume_rejects_wrong_prefix(tmp_path: Path, catalog):
     path.write_text("".join(lines[:5]) + "not json\n" + "".join(lines[6:30]))
     with pytest.raises(ResumeMismatch, match=r"records\.jsonl:6:"):
         survey(cat, 1, jsonl_path=str(path), skip=30)
+
+
+def test_resume_check_streams_the_file(tmp_path: Path):
+    """Checking 50,000 records and cutting a torn tail allocates well under
+    the file's 2.6 MB: the file is read one line at a time."""
+    lines = [encode_graph6(cycle_graph(3 + i % 8)) for i in range(50_000)]
+    path = tmp_path / "records.jsonl"
+    records = "".join(json.dumps({"graph6": line, "kfc": False, "minimal": False}) + "\n" for line in lines)
+    path.write_text(records + '{"graph6": "Ch', encoding="ascii")
+    tracemalloc.start()
+    try:
+        search._check_resume(str(path), lines, len(lines))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="ascii") == records
+    assert peak < 1 << 20, peak
 
 
 def test_survey_counterexample_entries_reparse():
