@@ -378,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.gen is not None and args.n not in (None, args.gen):
             print(f"survey --n {args.n} contradicts --gen {args.gen}", file=sys.stderr)
             return EXIT_USAGE
+        if args.resume_lines > 0 and args.jsonl is None:
+            print("survey --resume-lines needs --jsonl, the file it resumes", file=sys.stderr)
+            return EXIT_USAGE
     if getattr(args, "jobs", 1) < 1:
         print(f"{args.command} --jobs must be at least 1, not {args.jobs}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,19 +47,35 @@ Two rules cut the orderly tests further without changing any output:
   is smaller than P's column m-2, the swap proves P+mask is not minimal, so
   the mask is skipped untested.  Only accepted tests yield automorphisms,
   and every skipped mask would have been rejected, so no generator is lost.
-- Insertion bound, at the last level only.  A labeling that places the new
-  vertex t last cannot come out smaller: its first columns relabel P, which
-  is canonical, and on a tie the relabeling is an automorphism s of P,
-  whose s(mask) has no smaller code than the orbit leader mask.  So while t
-  is unplaced at depth j, with its row over the placed prefix reading c,
-  every smaller labeling places t at some position i >= j, after columns
-  1..i-1 that tie P's.  Column i then starts with the bits c, so if c
-  exceeds the first j bits of each of P's columns i >= j
-  (``_insertion_limits``), the subtree holds nothing smaller and is cut.
-  This needs the orbit leaders of the full Aut(P), hence generators that
-  generate it.  At the other levels the cut subtrees hold the leaves and
-  twin swaps that the next level's orbit leaders come from, so there the
-  tests keep walking them; the last level keeps no automorphisms.
+- Shared walk with an insertion bound, at the last level only
+  (``_canonical_masks``).  The last level keeps no automorphisms, so one
+  depth-first walk per parent P tests all of its masks together.  Until the
+  new vertex t is placed, a labeling's prefix holds only P's vertices and
+  its columns are P's own, whatever the mask: none comes out smaller, since
+  P is canonical, and the prefixes that tie P's columns are the same for
+  every mask.  The walk visits each of them once, carrying the masks still
+  alive as bitsets in classes keyed by c, t's row over the prefix; placing
+  a P vertex v splits each class by whether the mask holds v.  At depth j,
+  t's column j would read c: the masks whose c is smaller than P's column
+  j are rejected, those whose c ties it place t at j and go on one at a
+  time through their own orderly search from that prefix, and the others
+  leave t unplaced.  Twin pruning holds per mask: P's twins v and w stay
+  twins in the child only for the masks that hold both or neither, and t
+  is a twin of w only for the masks P[w] and P[w] | w.
+
+  The insertion bound cuts classes.  A labeling that places t last cannot
+  come out smaller: its first columns relabel P, which is canonical, and
+  on a tie the relabeling is an automorphism s of P, whose s(mask) has no
+  smaller code than the orbit leader mask.  So while t is unplaced at
+  depth j, with its row over the placed prefix reading c, every smaller
+  labeling places t at some position i >= j, after columns 1..i-1 that tie
+  P's.  Column i then starts with the bits c, so if c exceeds the first j
+  bits of each of P's columns i >= j (``_insertion_limits``), the subtree
+  holds nothing smaller for that class's masks, and the class does not
+  enter it.  This needs the orbit leaders of the full Aut(P), hence
+  generators that generate it.  At the other levels the cut subtrees hold
+  the leaves and twin swaps that the next level's orbit leaders come from,
+  so there each mask keeps its own orderly test, which walks them.
 """
 
 from __future__ import annotations
@@ -142,7 +158,7 @@ def _min_columns(
     best: list[int],
     orderly: bool,
     autos: set | None = None,
-    limits: Sequence[int] | None = None,
+    start: Sequence[int] = (),
 ) -> list[int] | None:
     """Column codes of the lexicographically minimal relabeling of ``adj``.
 
@@ -162,20 +178,22 @@ def _min_columns(
     that vertex.  Twins of a candidate already explored at the same depth
     are skipped (see the module docstring).
 
-    ``limits``, for an orderly test at the last generation level only, is
-    ``_insertion_limits`` of the canonical parent's codes: a subtree is cut
-    once the new vertex n-1, still unplaced, has a row over the placed
-    prefix above ``limits[j]`` (the insertion bound of the module
-    docstring).  It cuts leaves too, so it must not be given with ``autos``.
+    ``start``, for an orderly test only, holds the vertices already placed
+    at positions 0, 1, ..., whose columns must tie ``best``: the search then
+    walks only their subtree.  The last generation level's shared walk
+    (``_canonical_masks``) hands on each child this way.
     """
     n = len(best)
     placed = [0] * n  # row of the vertex at each filled position
     labels = [0] * n  # the vertex itself
     bounded = n  # positions below this one are bounded by ``best``
-    last = n - 1  # the new vertex, for ``limits``
-    last_row = adj[last] if limits is not None else 0
+    unplaced = (1 << n) - 1
+    for j, v in enumerate(start):
+        placed[j] = adj[v]
+        labels[j] = v
+        unplaced ^= 1 << v
 
-    def dfs(j: int, unplaced: int, prefix: int) -> bool:
+    def dfs(j: int, unplaced: int) -> bool:
         nonlocal bounded
         if j == n:
             if autos is not None:
@@ -234,18 +252,13 @@ def _min_columns(
                     autos.add(tuple(swap))
                 continue
             explored |= low
-            child = 0  # the new vertex's row over the child's prefix
-            if limits is not None and v != last and unplaced >> last:
-                child = prefix << 1 | last_row >> v & 1
-                if child > limits[j + 1]:  # the insertion bound
-                    continue
             placed[j] = row
             labels[j] = v
-            if not dfs(j + 1, unplaced ^ low, child):
+            if not dfs(j + 1, unplaced ^ low):
                 return False
         return True
 
-    return best if dfs(0, (1 << n) - 1, 0) else None
+    return best if dfs(len(start), unplaced) else None
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -288,28 +301,130 @@ def _extend_level(
 ) -> Iterator[tuple[tuple[int, ...], set | None]]:
     """The canonical children of order ``m`` of each parent, with the
     automorphisms their orderly tests met, or None at the ``last`` level,
-    which keeps none and applies the insertion bound instead.
+    which keeps none.
 
     A child's columns 1..m-2 are its parent's and its last column's code is
     the bit-reverse of the mask, so both are computed once; only the masks
     that ``_orbit_leaders`` keeps and the last-swap prefilter passes are
-    tested."""
+    tested.  Below the last level each is tested on its own, since its
+    orderly test yields the automorphisms the next level needs; at the last
+    level one shared walk per parent, ``_canonical_masks``, tests them all."""
     top = m - 1
     reverse = _subset_images(range(top - 1, -1, -1))  # mask -> last-column code
     for parent, gens in parents:
         codes = _column_codes(parent, top)
-        limits = _insertion_limits(codes) if last else None
+        tested = [mask for mask in _orbit_leaders(gens, top, reverse)
+                  if reverse[mask] >> 1 >= codes[top - 1]]  # the last-swap prefilter
+        if last:
+            for mask in _canonical_masks(parent, codes, tested, reverse):
+                yield _child(parent, mask), None
+            continue
         codes.append(0)
-        for mask in _orbit_leaders(gens, top, reverse):
-            code = reverse[mask]
-            if code >> 1 < codes[top - 1]:  # the last-swap prefilter
-                continue
-            adj = [parent[v] | ((mask >> v & 1) << top) for v in range(top)]
-            adj.append(mask)
-            codes[top] = code
-            autos = None if last else set()
-            if _min_columns(adj, codes, orderly=True, autos=autos, limits=limits) is not None:
-                yield tuple(adj), autos
+        for mask in tested:
+            adj = _child(parent, mask)
+            codes[top] = reverse[mask]
+            autos: set = set()
+            if _min_columns(adj, codes, orderly=True, autos=autos) is not None:
+                yield adj, autos
+
+
+def _child(parent: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The rows of ``parent`` extended by one vertex adjacent to ``mask``."""
+    bit = 1 << len(parent)
+    return (*[row | bit if mask >> v & 1 else row for v, row in enumerate(parent)], mask)
+
+
+def _canonical_masks(
+    parent: Sequence[int], codes: Sequence[int], masks: Sequence[int], reverse: Sequence[int]
+) -> list[int]:
+    """The ``masks``, orbit leaders of a canonical ``parent`` with column
+    codes ``codes``, whose children pass the orderly test, in their order.
+
+    One depth-first walk over the prefixes of the parent's vertices that tie
+    its columns tests them all at once (the shared walk of the module
+    docstring).  A node holds the masks still alive as classes: bitsets
+    over the masks' indices, keyed by the new vertex's row over the prefix.
+    The new vertex is placed at the node for each mask of the class that
+    ties the node's column, and that mask's own orderly test goes on from
+    there (``_min_columns`` with ``start``)."""
+    top = len(parent)
+    limits = _insertion_limits(codes)
+    best = [*codes, 0]  # the child's column codes, the last one set per mask
+    children = [_child(parent, mask) for mask in masks]
+    holds = [0] * top  # holds[v]: the masks holding v, as a bitset over their indices
+    index = {}  # each mask's own bit
+    for i, mask in enumerate(masks):
+        index[mask] = 1 << i
+        for v in range(top):
+            holds[v] |= (mask >> v & 1) << i
+    new_twins = []  # the masks that make the new vertex a twin of v in the child
+    twins = []  # each v's twins in the parent, v included
+    for v, row in enumerate(parent):
+        new_twins.append(index.get(row, 0) | index.get(row | 1 << v, 0))
+        twins.append(sum(1 << w for w, other in enumerate(parent) if not (row ^ other) & ~(1 << v | 1 << w)))
+    order = [0] * top  # the parent vertex at each position of the prefix
+    alive = (1 << len(masks)) - 1
+
+    def walk(j: int, unplaced: int, classes: list[tuple[int, int]]) -> None:
+        nonlocal alive
+        bound = codes[j]
+        cand = unplaced  # the parent vertices whose column j ties
+        for i in range(j):
+            row = parent[order[i]]
+            cand &= row if bound >> (j - 1 - i) & 1 else ~row
+        tie = 0  # the masks whose new vertex's column j ties
+        for row, bits in classes:
+            if row < bound:  # its column j comes out smaller
+                alive &= ~bits
+            elif row == bound:
+                tie = bits
+        limit = limits[j + 1]
+        explored = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            keep = alive
+            rest = twins[v] & explored
+            while rest:  # v stays a twin of an explored w where the mask holds both or neither
+                other = rest & -rest
+                keep &= holds[v] ^ holds[other.bit_length() - 1]
+                rest ^= other
+            explored |= low
+            held = holds[v]
+            split = []
+            for row, bits in classes:  # each splits by whether its masks hold v
+                bits &= keep
+                if not bits:
+                    continue
+                row <<= 1  # the new vertex's row over the longer prefix
+                zero, one = bits & ~held, bits & held
+                if zero and row <= limit:  # the insertion bound
+                    split.append((row, zero))
+                if one and row | 1 <= limit:
+                    split.append((row | 1, one))
+            if split:
+                order[j] = v
+                walk(j + 1, unplaced ^ low, split)
+
+        tie &= alive
+        if not tie:
+            return
+        while explored:  # the new vertex, a twin of a tying parent vertex
+            low = explored & -explored
+            tie &= ~new_twins[low.bit_length() - 1]
+            explored ^= low
+        start = [*order[:j], top]
+        while tie:  # the new vertex at position j, for each mask on its own
+            low = tie & -tie
+            tie ^= low
+            i = low.bit_length() - 1
+            best[top] = reverse[masks[i]]
+            if _min_columns(children[i], best, orderly=True, start=start) is None:
+                alive &= ~low
+
+    walk(0, (1 << top) - 1, [(0, alive)])
+    return [mask for i, mask in enumerate(masks) if alive >> i & 1]
 
 
 def _insertion_limits(codes: Sequence[int]) -> list[int]:

@@ -168,6 +168,16 @@ def test_survey_resume_mismatch_exits_2(tmp_path: Path, capsys):
     assert len(path.read_text().splitlines()) == 34
 
 
+def test_survey_resume_lines_without_jsonl_exits_2(capsys):
+    """Without a file to check them against, skipped graphs would go
+    unsurveyed and unreported."""
+    code, out, err = run_cli(["survey", "--gen", "5", "--k", "1", "--jobs", "1", "--resume-lines", "10"],
+                             capsys=capsys)
+    assert (code, out, err) == (2, "", "survey --resume-lines needs --jsonl, the file it resumes\n")
+    assert run_cli(["survey", "--gen", "5", "--k", "1", "--jobs", "1", "--resume-lines", "0"],
+                   capsys=capsys)[0] == 0
+
+
 @pytest.mark.parametrize("skip", ["-3", "35"])
 def test_survey_resume_lines_out_of_range_exits_2(tmp_path: Path, capsys, skip):
     path = tmp_path / "records.jsonl"

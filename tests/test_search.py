@@ -148,15 +148,23 @@ def test_orbit_leaders_per_level_equal_rooted_graph_counts(monkeypatch):
 
 def test_orderly_tests_per_level(monkeypatch):
     """The last-swap prefilter leaves few more tests than children at every
-    level, and the insertion bound cuts only inside the last level's tests."""
+    level: one orderly test per mask below the last level, and at the last
+    one the masks handed to the shared walk, whose continuations from a
+    placed prefix are not counted."""
     tested: collections.Counter = collections.Counter()
     min_columns = search._min_columns
+    canonical_masks = search._canonical_masks
 
-    def counting(adj, best, orderly, autos=None, limits=None):
-        tested[len(best)] += orderly
-        return min_columns(adj, best, orderly, autos, limits)
+    def counting(adj, best, orderly, autos=None, start=()):
+        tested[len(best)] += orderly and not start
+        return min_columns(adj, best, orderly, autos, start)
+
+    def walking(parent, codes, masks, reverse):
+        tested[len(parent) + 1] += len(masks)
+        return canonical_masks(parent, codes, masks, reverse)
 
     monkeypatch.setattr(search, "_min_columns", counting)
+    monkeypatch.setattr(search, "_canonical_masks", walking)
     assert sum(1 for _ in generate_nonisomorphic(7)) == KNOWN_COUNTS[7]
     assert dict(tested) == ORDERLY_TESTS
 
@@ -192,20 +200,20 @@ def test_last_swap_prefilter_skips_only_rejected_extensions():
 
 @pytest.mark.parametrize("m", [7, 8])
 def test_insertion_bound_keeps_every_verdict(m):
-    """At the last level the bound may cut a test short but never changes
-    its verdict, for every orbit leader of every parent of order m-1."""
+    """At the last level the shared walk, with its insertion bound, gives
+    every tested mask of every parent of order m-1 the verdict of the
+    mask's own plain orderly test."""
     top = m - 1
     reverse = search._subset_images(range(top - 1, -1, -1))
     accepted = 0
     for parent, gens in _parents(m):
         codes = search._column_codes(parent, top)
-        limits = search._insertion_limits(codes)
-        for mask in search._orbit_leaders(gens, top, reverse):
-            adj = _child(parent, mask)
-            plain = search._min_columns(adj, codes + [reverse[mask]], orderly=True)
-            bounded = search._min_columns(adj, codes + [reverse[mask]], orderly=True, limits=limits)
-            assert (plain is None) == (bounded is None)
-            accepted += plain is not None
+        tested = [mask for mask in search._orbit_leaders(gens, top, reverse) if reverse[mask] >> 1 >= codes[-1]]
+        walked = search._canonical_masks(parent, codes, tested, reverse)
+        plain = [mask for mask in tested
+                 if search._min_columns(_child(parent, mask), codes + [reverse[mask]], orderly=True) is not None]
+        assert walked == plain, (parent, walked, plain)
+        accepted += len(plain)
     assert accepted == {7: KNOWN_COUNTS[7], 8: 12346}[m]
 
 
