@@ -26,56 +26,47 @@ graphs cheap at any order; graphs whose automorphisms twin swaps do not
 generate, such as cycles and cocktail-party graphs, still cost exponential
 time.
 
-Generation tests one extension per orbit of the parent's automorphism group.
-An extension of a parent P of order m-1 is a mask, the neighbours of the new
-vertex m-1; the child P+mask shares P's columns and its last column's code
-is the bit-reverse of the mask.  If s is an automorphism of P and s(mask)
-has a smaller code than mask, relabelling P+mask by s, with the new vertex
-fixed, gives P+s(mask): the same first columns and a smaller last one, so
-P+mask is not minimal.  Only the mask with the smallest code in its orbit
-can pass, and the others are skipped untested.  The group comes for free
-from P's own accepted orderly test, which walks every labeling that ties
-the identity: each leaf it reaches is an automorphism, and each twin swap it
-prunes is one too.  Together they generate Aut(P), since every automorphism
-either is a leaf or maps to one under the swaps of the subtrees it enters.
+Generation keeps no automorphism groups.  An extension of a parent P of
+order m-1 is a mask, the neighbours of the new vertex t = m-1; the child
+P+mask shares P's columns and its last column's code is the bit-reverse of
+the mask.  Two rules decide every mask of every parent:
 
-Two rules cut the orderly tests further without changing any output:
+- Last-swap prefilter.  Swapping vertices m-2 and m-1 keeps columns
+  1..m-3 and turns column m-2 into the new vertex's row over vertices
+  0..m-3, which is the mask's code without its last bit.  When that is
+  smaller than P's column m-2, the swap proves P+mask is not minimal, so
+  the mask is skipped untested.
+- Shared walk (``_canonical_masks``).  One depth-first walk per parent P
+  tests all of its other masks together.  Until t is placed, a labeling's
+  prefix holds only P's vertices and its columns are P's own, whatever the
+  mask: none comes out smaller, since P is canonical, and the prefixes
+  that tie P's columns are the same for every mask.  The walk visits each
+  of them once, carrying the masks still alive as bitsets in classes keyed
+  by c, t's row over the prefix; placing a P vertex v splits each class by
+  whether the mask holds v.  At depth j, t's column j would read c: the
+  masks whose c is smaller than P's column j are rejected, those whose c
+  ties it place t at j and go on one at a time through their own orderly
+  search from that prefix, and the others leave t unplaced.  Twin pruning
+  holds per mask: P's twins v and w stay twins in the child only for the
+  masks that hold both or neither, and t is a twin of w only for the masks
+  P[w] and P[w] | w.
 
-- Last-swap prefilter, at every level.  Swapping vertices m-2 and m-1 keeps
-  columns 1..m-3 and turns column m-2 into the new vertex's row over
-  vertices 0..m-3, which is the mask's code without its last bit.  When that
-  is smaller than P's column m-2, the swap proves P+mask is not minimal, so
-  the mask is skipped untested.  Only accepted tests yield automorphisms,
-  and every skipped mask would have been rejected, so no generator is lost.
-- Shared walk with an insertion bound, at the last level only
-  (``_canonical_masks``).  The last level keeps no automorphisms, so one
-  depth-first walk per parent P tests all of its masks together.  Until the
-  new vertex t is placed, a labeling's prefix holds only P's vertices and
-  its columns are P's own, whatever the mask: none comes out smaller, since
-  P is canonical, and the prefixes that tie P's columns are the same for
-  every mask.  The walk visits each of them once, carrying the masks still
-  alive as bitsets in classes keyed by c, t's row over the prefix; placing
-  a P vertex v splits each class by whether the mask holds v.  At depth j,
-  t's column j would read c: the masks whose c is smaller than P's column
-  j are rejected, those whose c ties it place t at j and go on one at a
-  time through their own orderly search from that prefix, and the others
-  leave t unplaced.  Twin pruning holds per mask: P's twins v and w stay
-  twins in the child only for the masks that hold both or neither, and t
-  is a twin of w only for the masks P[w] and P[w] | w.
-
-  The insertion bound cuts classes.  A labeling that places t last cannot
-  come out smaller: its first columns relabel P, which is canonical, and
-  on a tie the relabeling is an automorphism s of P, whose s(mask) has no
-  smaller code than the orbit leader mask.  So while t is unplaced at
-  depth j, with its row over the placed prefix reading c, every smaller
-  labeling places t at some position i >= j, after columns 1..i-1 that tie
-  P's.  Column i then starts with the bits c, so if c exceeds the first j
-  bits of each of P's columns i >= j (``_insertion_limits``), the subtree
-  holds nothing smaller for that class's masks, and the class does not
-  enter it.  This needs the orbit leaders of the full Aut(P), hence
-  generators that generate it.  At the other levels the cut subtrees hold
-  the leaves and twin swaps that the next level's orbit leaders come from,
-  so there each mask keeps its own orderly test, which walks them.
+  Two bounds cut classes, and the second also settles the labelings that
+  place t last.  While t is unplaced at depth j, with its row over the placed prefix
+  reading c, a smaller labeling in the subtree either places t at some
+  position j <= i < m-1, after columns 1..i-1 that tie P's, or places t
+  last.  In the first case column i starts with the bits c, so c is at
+  most the first j bits of one of P's columns i >= j
+  (``_insertion_limits``).  In the second, the columns of P's vertices
+  relabel P, which is canonical, so they tie only when the relabeling is
+  an automorphism of P, and then t's last column is the class's row over
+  all of P.  So when a split completes that row, at depth m-2, the walk
+  rejects each mask of the class whose own code exceeds it; and since the
+  row starts with c, it can undercut only a mask whose code's first j bits
+  are at least c.  The masks come in by increasing code, so a class's
+  largest code is that of its highest index, and a class enters a subtree
+  only while c is at most the limit or at most the first j bits of its
+  largest code.
 """
 
 from __future__ import annotations
@@ -83,9 +74,10 @@ from __future__ import annotations
 import json
 import os
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     FactorCritError,
@@ -125,10 +117,6 @@ DEDUP_CANONICAL = "canonical"
 # Version of the JSON payloads: the survey report and every CLI --json output.
 SCHEMA = 1
 
-# A graph of the previous generation level as its rows, with the non-identity
-# generators of its automorphism group as permutation tuples.
-_Parent = tuple[tuple[int, ...], set[tuple[int, ...]]]
-
 # One encoder for every JSONL record: json.dumps builds a new one per call.
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 # A short record's line without the encoder, whose encode builds a new C
@@ -157,7 +145,6 @@ def _min_columns(
     adj: Sequence[int],
     best: list[int],
     orderly: bool,
-    autos: set | None = None,
     start: Sequence[int] = (),
 ) -> list[int] | None:
     """Column codes of the lexicographically minimal relabeling of ``adj``.
@@ -165,13 +152,10 @@ def _min_columns(
     ``best`` holds the identity's column codes (``_column_codes``), which
     one depth-first branch and bound over labelings starts from as the best
     so far.  With ``orderly`` it returns None at the first column that comes
-    out smaller, and otherwise ``best`` unchanged: the orderly test.  Then
-    every leaf it reaches ties the identity and so is an automorphism, and
-    ``autos``, if given, receives each as a permutation tuple, the vertex at
-    each position, and so does each twin swap it prunes; the identity is
-    among them.  Without ``orderly``, a smaller column replaces the best
-    codes from that column on, and every later position takes the smallest
-    code it can reach.
+    out smaller, and otherwise ``best`` unchanged: the orderly test.
+    Without ``orderly``, a smaller column replaces the best codes from that
+    column on, and every later position takes the smallest code it can
+    reach.
 
     The candidates for position j are a vertex bitset, narrowed against each
     placed vertex's row in turn while following the best column's bit for
@@ -180,24 +164,20 @@ def _min_columns(
 
     ``start``, for an orderly test only, holds the vertices already placed
     at positions 0, 1, ..., whose columns must tie ``best``: the search then
-    walks only their subtree.  The last generation level's shared walk
+    walks only their subtree.  Generation's shared walk
     (``_canonical_masks``) hands on each child this way.
     """
     n = len(best)
     placed = [0] * n  # row of the vertex at each filled position
-    labels = [0] * n  # the vertex itself
     bounded = n  # positions below this one are bounded by ``best``
     unplaced = (1 << n) - 1
     for j, v in enumerate(start):
         placed[j] = adj[v]
-        labels[j] = v
         unplaced ^= 1 << v
 
     def dfs(j: int, unplaced: int) -> bool:
         nonlocal bounded
         if j == n:
-            if autos is not None:
-                autos.add(tuple(labels))
             return True
         cand = unplaced
         if j:
@@ -245,15 +225,9 @@ def _min_columns(
                     break
                 rest ^= other
             if rest:  # a twin of an explored candidate
-                if autos is not None:
-                    swap = list(range(n))
-                    w = other.bit_length() - 1
-                    swap[v], swap[w] = w, v
-                    autos.add(tuple(swap))
                 continue
             explored |= low
             placed[j] = row
-            labels[j] = v
             if not dfs(j + 1, unplaced ^ low):
                 return False
         return True
@@ -286,59 +260,51 @@ def _check_generate_order(n: int) -> None:
 def generate_nonisomorphic(n: int) -> Iterator[Graph]:
     """Stream every isomorphism class of order ``n`` exactly once."""
     _check_generate_order(n)
-    if n == 1:
-        yield Graph._trusted(1, (0,))
-        return
-    level: list[_Parent] = [((0,), set())]
-    for m in range(2, n):
-        level = [(adj, autos - {tuple(range(m))}) for adj, autos in _extend_level(level, m)]
-    for adj, _autos in _extend_level(level, n, last=True):
+    level: Iterable[Sequence[int]] = [(0,)]
+    for m in range(2, n + 1):  # each level streams from the one below
+        level = _extend_level(level, m)
+    for adj in level:
         yield Graph._trusted(n, adj)
 
 
-def _extend_level(
-    parents: Iterable[_Parent], m: int, last: bool = False
-) -> Iterator[tuple[tuple[int, ...], set | None]]:
-    """The canonical children of order ``m`` of each parent, with the
-    automorphisms their orderly tests met, or None at the ``last`` level,
-    which keeps none.
+def _extend_level(parents: Iterable[Sequence[int]], m: int) -> Iterator[tuple[int, ...]]:
+    """The rows of the canonical children of order ``m`` of each parent, by
+    increasing mask.
 
     A child's columns 1..m-2 are its parent's and its last column's code is
-    the bit-reverse of the mask, so both are computed once; only the masks
-    that ``_orbit_leaders`` keeps and the last-swap prefilter passes are
-    tested.  Below the last level each is tested on its own, since its
-    orderly test yields the automorphisms the next level needs; at the last
-    level one shared walk per parent, ``_canonical_masks``, tests them all."""
+    the bit-reverse of the mask, so both are computed once.  ``reverse`` is
+    an involution, so it lists the masks by increasing code, and those that
+    pass the last-swap prefilter are a tail of it; one shared walk per
+    parent, ``_canonical_masks``, tests them all."""
     top = m - 1
     reverse = _subset_images(range(top - 1, -1, -1))  # mask -> last-column code
-    for parent, gens in parents:
+    for parent in parents:
         codes = _column_codes(parent, top)
-        tested = [mask for mask in _orbit_leaders(gens, top, reverse)
-                  if reverse[mask] >> 1 >= codes[top - 1]]  # the last-swap prefilter
-        if last:
-            for mask in _canonical_masks(parent, codes, tested, reverse):
-                yield _child(parent, mask), None
-            continue
-        codes.append(0)
-        for mask in tested:
-            adj = _child(parent, mask)
-            codes[top] = reverse[mask]
-            autos: set = set()
-            if _min_columns(adj, codes, orderly=True, autos=autos) is not None:
-                yield adj, autos
+        # the last-swap prefilter: a code's first top-1 bits are at least P's last column
+        yield from _canonical_masks(parent, codes, reverse[codes[top - 1] << 1:], reverse)
 
 
 def _child(parent: Sequence[int], mask: int) -> tuple[int, ...]:
     """The rows of ``parent`` extended by one vertex adjacent to ``mask``."""
     bit = 1 << len(parent)
-    return (*[row | bit if mask >> v & 1 else row for v, row in enumerate(parent)], mask)
+    rows = [*parent, mask]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rows[low.bit_length() - 1] |= bit
+        rest ^= low
+    return tuple(rows)
 
 
 def _canonical_masks(
     parent: Sequence[int], codes: Sequence[int], masks: Sequence[int], reverse: Sequence[int]
-) -> list[int]:
-    """The ``masks``, orbit leaders of a canonical ``parent`` with column
-    codes ``codes``, whose children pass the orderly test, in their order.
+) -> list[tuple[int, ...]]:
+    """The rows of the children of a canonical ``parent``, whose column
+    codes are ``codes``, by those ``masks`` that pass the orderly test.
+
+    The ``masks`` must come by increasing code ``reverse[mask]``: the walk
+    reads a class's largest code off its highest index.  The children are
+    returned by increasing mask, the order that generation emits.
 
     One depth-first walk over the prefixes of the parent's vertices that tie
     its columns tests them all at once (the shared walk of the module
@@ -346,11 +312,13 @@ def _canonical_masks(
     over the masks' indices, keyed by the new vertex's row over the prefix.
     The new vertex is placed at the node for each mask of the class that
     ties the node's column, and that mask's own orderly test goes on from
-    there (``_min_columns`` with ``start``)."""
+    there (``_min_columns`` with ``start``).  A child's rows are built the
+    first time that continuation or the result needs them."""
     top = len(parent)
     limits = _insertion_limits(codes)
+    mask_codes = [reverse[mask] for mask in masks]
     best = [*codes, 0]  # the child's column codes, the last one set per mask
-    children = [_child(parent, mask) for mask in masks]
+    children: list = [None] * len(masks)  # each child's rows, once built
     holds = [0] * top  # holds[v]: the masks holding v, as a bitset over their indices
     index = {}  # each mask's own bit
     for i, mask in enumerate(masks):
@@ -379,6 +347,7 @@ def _canonical_masks(
             elif row == bound:
                 tie = bits
         limit = limits[j + 1]
+        shift = top - 1 - j  # the code bits past the longer prefix
         explored = 0
         while cand:
             low = cand & -cand
@@ -399,9 +368,14 @@ def _canonical_masks(
                     continue
                 row <<= 1  # the new vertex's row over the longer prefix
                 zero, one = bits & ~held, bits & held
-                if zero and row <= limit:  # the insertion bound
+                if not shift:  # the new vertex last: its column reads the row
+                    alive &= ~(zero & -(1 << bisect_right(mask_codes, row))
+                               | one & -(1 << bisect_right(mask_codes, row | 1)))
+                    continue
+                # the insertion bound, or a largest code the row may still undercut
+                if zero and (row <= limit or row <= mask_codes[zero.bit_length() - 1] >> shift):
                     split.append((row, zero))
-                if one and row | 1 <= limit:
+                if one and (row | 1 <= limit or row | 1 <= mask_codes[one.bit_length() - 1] >> shift):
                     split.append((row | 1, one))
             if split:
                 order[j] = v
@@ -419,12 +393,14 @@ def _canonical_masks(
             low = tie & -tie
             tie ^= low
             i = low.bit_length() - 1
-            best[top] = reverse[masks[i]]
-            if _min_columns(children[i], best, orderly=True, start=start) is None:
+            best[top] = mask_codes[i]
+            children[i] = child = children[i] or _child(parent, masks[i])
+            if _min_columns(child, best, orderly=True, start=start) is None:
                 alive &= ~low
 
     walk(0, (1 << top) - 1, [(0, alive)])
-    return [mask for i, mask in enumerate(masks) if alive >> i & 1]
+    kept = sorted((masks[i], i) for i in range(len(masks)) if alive >> i & 1)
+    return [children[i] or _child(parent, mask) for mask, i in kept]
 
 
 def _insertion_limits(codes: Sequence[int]) -> list[int]:
@@ -444,33 +420,6 @@ def _subset_images(perm: Sequence[int]) -> list[int]:
         bit = 1 << v
         images += [image | bit for image in images]
     return images
-
-
-def _orbit_leaders(gens: Collection[Sequence[int]], top: int, reverse: list[int]) -> Iterable[int]:
-    """One mask per orbit of the group that ``gens`` generate on the subsets
-    of vertices 0..top-1, in increasing order: the one whose last-column code
-    ``reverse[mask]`` is smallest, the only one whose extension can be
-    canonical (see the module docstring)."""
-    if not gens:
-        return range(1 << top)
-    tables = [_subset_images(perm) for perm in gens]
-    seen = bytearray(1 << top)
-    leaders = []
-    for mask in reverse:  # reverse is an involution: masks by increasing code
-        if seen[mask]:
-            continue
-        leaders.append(mask)
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            orbit_member = stack.pop()
-            for images in tables:
-                image = images[orbit_member]
-                if not seen[image]:
-                    seen[image] = 1
-                    stack.append(image)
-    leaders.sort()
-    return leaders
 
 
 @dataclass(frozen=True)

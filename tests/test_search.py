@@ -46,11 +46,9 @@ from factorcrit import search
 from goldens import GENERATION_GOLDEN
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-# graphs of order m with one distinguished vertex, up to isomorphism (OEIS A000666)
-ROOTED_COUNTS = {2: 2, 3: 6, 4: 20, 5: 90, 6: 544, 7: 5096}
-# orderly tests per level of generate_nonisomorphic(7): the orbit leaders
-# that the last-swap prefilter passes
-ORDERLY_TESTS = {2: 2, 3: 4, 4: 11, 5: 36, 6: 184, 7: 1311}
+# masks handed to the shared walk per level of generate_nonisomorphic(7):
+# those that the last-swap prefilter passes
+ORDERLY_TESTS = {2: 2, 3: 6, 4: 18, 5: 76, 6: 376, 7: 2682}
 
 
 def _burnside_count(n: int) -> int:
@@ -128,59 +126,29 @@ def test_generate_order_gate():
         list(generate_nonisomorphic(0))
 
 
-def test_orbit_leaders_per_level_equal_rooted_graph_counts(monkeypatch):
-    """Level m keeps one extension per orbit of each parent's automorphism
-    group on the masks, and those orbits are the rooted graphs of order m.
-    The count holds only if the automorphisms that each accepted parent's
-    orderly test met generate its full group."""
-    leaders: collections.Counter = collections.Counter()
-    orbit_leaders = search._orbit_leaders
-
-    def counting(gens, top, reverse):
-        kept = list(orbit_leaders(gens, top, reverse))
-        leaders[top + 1] += len(kept)
-        return kept
-
-    monkeypatch.setattr(search, "_orbit_leaders", counting)
-    assert sum(1 for _ in generate_nonisomorphic(7)) == KNOWN_COUNTS[7]
-    assert dict(leaders) == ROOTED_COUNTS
-
-
 def test_orderly_tests_per_level(monkeypatch):
-    """The last-swap prefilter leaves few more tests than children at every
-    level: one orderly test per mask below the last level, and at the last
-    one the masks handed to the shared walk, whose continuations from a
-    placed prefix are not counted."""
+    """The last-swap prefilter leaves few more masks than children for the
+    shared walk at every level."""
     tested: collections.Counter = collections.Counter()
-    min_columns = search._min_columns
     canonical_masks = search._canonical_masks
-
-    def counting(adj, best, orderly, autos=None, start=()):
-        tested[len(best)] += orderly and not start
-        return min_columns(adj, best, orderly, autos, start)
 
     def walking(parent, codes, masks, reverse):
         tested[len(parent) + 1] += len(masks)
         return canonical_masks(parent, codes, masks, reverse)
 
-    monkeypatch.setattr(search, "_min_columns", counting)
     monkeypatch.setattr(search, "_canonical_masks", walking)
     assert sum(1 for _ in generate_nonisomorphic(7)) == KNOWN_COUNTS[7]
     assert dict(tested) == ORDERLY_TESTS
 
 
-def _parents(m: int) -> list:
-    """The parents of generation level m: the graphs of order m-1 with their
-    automorphism generators."""
-    level = [((0,), set())]
-    for k in range(2, m):
-        level = [(adj, autos - {tuple(range(k))}) for adj, autos in search._extend_level(level, k)]
-    return level
+def _parents(m: int) -> list[tuple[int, ...]]:
+    """The parents of generation level m: the rows of the graphs of order m-1."""
+    return [g.adj for g in generate_nonisomorphic(m - 1)]
 
 
-def _child(parent: tuple[int, ...], mask: int) -> list[int]:
+def _child(parent: tuple[int, ...], mask: int) -> tuple[int, ...]:
     top = len(parent)
-    return [parent[v] | ((mask >> v & 1) << top) for v in range(top)] + [mask]
+    return (*[parent[v] | ((mask >> v & 1) << top) for v in range(top)], mask)
 
 
 def test_last_swap_prefilter_skips_only_rejected_extensions():
@@ -188,31 +156,33 @@ def test_last_swap_prefilter_skips_only_rejected_extensions():
     for m in range(2, 8):
         top = m - 1
         reverse = search._subset_images(range(top - 1, -1, -1))
-        for parent, gens in _parents(m):
+        for parent in _parents(m):
             last_column = search._column_codes(parent, top)[top - 1]
-            for mask in search._orbit_leaders(gens, top, reverse):
+            for mask in range(1 << top):
                 if reverse[mask] >> 1 < last_column:
                     skipped += 1
                     adj = _child(parent, mask)
                     assert search._min_columns(adj, search._column_codes(adj, m), orderly=True) is None
-    assert skipped == sum(ROOTED_COUNTS.values()) - sum(ORDERLY_TESTS.values())
+    masks = sum(KNOWN_COUNTS[m - 1] << (m - 1) for m in range(2, 8))
+    assert skipped == masks - sum(ORDERLY_TESTS.values())
 
 
 @pytest.mark.parametrize("m", [7, 8])
 def test_insertion_bound_keeps_every_verdict(m):
-    """At the last level the shared walk, with its insertion bound, gives
-    every tested mask of every parent of order m-1 the verdict of the
-    mask's own plain orderly test."""
+    """The shared walk, with its insertion bound and its check of the new
+    vertex placed last, gives every mask of every parent of order m-1,
+    handed over by increasing code without the prefilter, the verdict of
+    the mask's own plain orderly test, and returns the accepted children by
+    increasing mask."""
     top = m - 1
-    reverse = search._subset_images(range(top - 1, -1, -1))
+    reverse = search._subset_images(range(top - 1, -1, -1))  # also every mask by increasing code
     accepted = 0
-    for parent, gens in _parents(m):
+    for parent in _parents(m):
         codes = search._column_codes(parent, top)
-        tested = [mask for mask in search._orbit_leaders(gens, top, reverse) if reverse[mask] >> 1 >= codes[-1]]
-        walked = search._canonical_masks(parent, codes, tested, reverse)
-        plain = [mask for mask in tested
-                 if search._min_columns(_child(parent, mask), codes + [reverse[mask]], orderly=True) is not None]
-        assert walked == plain, (parent, walked, plain)
+        walked = search._canonical_masks(parent, codes, reverse, reverse)
+        plain = [adj for mask, adj in enumerate(_child(parent, mask) for mask in range(1 << top))
+                 if search._min_columns(adj, codes + [reverse[mask]], orderly=True) is not None]
+        assert walked == plain, (parent, [adj[-1] for adj in walked], [adj[-1] for adj in plain])
         accepted += len(plain)
     assert accepted == {7: KNOWN_COUNTS[7], 8: 12346}[m]
 
@@ -221,35 +191,6 @@ def test_generation_matches_golden_hashes_to_order_8():
     for n in range(1, 9):
         payload = "".join(encode_graph6(g) + "\n" for g in generate_nonisomorphic(n)).encode("ascii")
         assert hashlib.sha256(payload).hexdigest() == GENERATION_GOLDEN[n], n
-
-
-@pytest.mark.parametrize("m", range(3, 9))
-def test_parent_generators_are_automorphisms(m):
-    """Every generator kept for a parent of level m, leaf or twin swap, is
-    a non-identity permutation tuple of the parent's vertices that maps its
-    edges onto its edges."""
-    top = m - 1
-    identity = tuple(range(top))
-    for parent, gens in _parents(m):
-        for perm in gens:
-            assert isinstance(perm, tuple) and sorted(perm) == list(identity) and perm != identity
-            assert all(parent[perm[v]] == sum(1 << perm[u] for u in range(top) if parent[v] >> u & 1)
-                       for v in range(top))
-
-
-def test_orbit_filter_skips_only_rejected_extensions():
-    level = _parents(7)
-    assert len(level) == KNOWN_COUNTS[6]
-    top = 6
-    reverse = search._subset_images(range(top - 1, -1, -1))
-    skipped = 0
-    for parent, gens in level:
-        leaders = set(search._orbit_leaders(gens, top, reverse))
-        for mask in set(range(1 << top)) - leaders:
-            skipped += 1
-            adj = _child(parent, mask)
-            assert search._min_columns(adj, search._column_codes(adj, 7), orderly=True) is None
-    assert skipped == KNOWN_COUNTS[6] * (1 << top) - ROOTED_COUNTS[7]
 
 
 def _relabel(g: Graph, perm: list[int]) -> Graph:
