@@ -41,15 +41,15 @@ the mask.  Two rules decide every mask of every parent:
   prefix holds only P's vertices and its columns are P's own, whatever the
   mask: none comes out smaller, since P is canonical, and the prefixes
   that tie P's columns are the same for every mask.  The walk visits each
-  of them once, carrying the masks still alive as bitsets in classes keyed
-  by c, t's row over the prefix; placing a P vertex v splits each class by
-  whether the mask holds v.  At depth j, t's column j would read c: the
-  masks whose c is smaller than P's column j are rejected, those whose c
-  ties it place t at j and go on one at a time through their own orderly
-  search from that prefix, and the others leave t unplaced.  Twin pruning
-  holds per mask: P's twins v and w stay twins in the child only for the
-  masks that hold both or neither, and t is a twin of w only for the masks
-  P[w] and P[w] | w.
+  of them once, carrying the masks still alive as bitsets over their codes,
+  in classes keyed by c, t's row over the prefix; placing a P vertex v
+  splits each class by whether the mask holds v.  At depth j, t's column j
+  would read c: the masks whose c is smaller than P's column j are
+  rejected, those whose c ties it place t at j and go on one at a time
+  through their own orderly search from that prefix, and the others leave
+  t unplaced.  Twin pruning holds per mask: P's twins v and w stay twins in
+  the child only for the masks that hold both or neither, and t is a twin
+  of w only for the masks P[w] and P[w] | w.
 
   Two bounds cut classes, and the second also settles the labelings that
   place t last.  While t is unplaced at depth j, with its row over the placed prefix
@@ -63,10 +63,9 @@ the mask.  Two rules decide every mask of every parent:
   all of P.  So when a split completes that row, at depth m-2, the walk
   rejects each mask of the class whose own code exceeds it; and since the
   row starts with c, it can undercut only a mask whose code's first j bits
-  are at least c.  The masks come in by increasing code, so a class's
-  largest code is that of its highest index, and a class enters a subtree
-  only while c is at most the limit or at most the first j bits of its
-  largest code.
+  are at least c.  A class's largest code is its highest bit, and a class
+  enters a subtree only while c is at most the limit or at most the first
+  j bits of its largest code.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -92,6 +90,7 @@ from .errors import (
 )
 from .graph import GRAPH6_HEADER, Graph, _rows_from_columns, degree_profile, encode_graph6, parse_graph6
 from .criticality import kfc_and_minimal
+from .matching import subset_masks
 # Also a module attribute here: the perfbench harness reads and traces the
 # k-factor-critical test as factorcrit.search.is_k_factor_critical.
 from .criticality import is_k_factor_critical  # noqa: F401
@@ -272,16 +271,17 @@ def _extend_level(parents: Iterable[Sequence[int]], m: int) -> Iterator[tuple[in
     increasing mask.
 
     A child's columns 1..m-2 are its parent's and its last column's code is
-    the bit-reverse of the mask, so both are computed once.  ``reverse`` is
-    an involution, so it lists the masks by increasing code, and those that
-    pass the last-swap prefilter are a tail of it; one shared walk per
-    parent, ``_canonical_masks``, tests them all."""
+    the bit-reverse of the mask, so both are computed once.  The masks that
+    pass the last-swap prefilter, the codes from twice the parent's last
+    column up, go to one shared walk per parent, ``_canonical_masks``, as a
+    bitset over their codes."""
     top = m - 1
-    reverse = _subset_images(range(top - 1, -1, -1))  # mask -> last-column code
+    reverse = _subset_images(range(top - 1, -1, -1))  # mask -> last-column code, and back
+    every = (1 << (1 << top)) - 1  # the bitset of all the codes
     for parent in parents:
         codes = _column_codes(parent, top)
         # the last-swap prefilter: a code's first top-1 bits are at least P's last column
-        yield from _canonical_masks(parent, codes, reverse[codes[top - 1] << 1:], reverse)
+        yield from _canonical_masks(parent, codes, every & -(1 << (codes[top - 1] << 1)), reverse)
 
 
 def _child(parent: Sequence[int], mask: int) -> tuple[int, ...]:
@@ -297,41 +297,32 @@ def _child(parent: Sequence[int], mask: int) -> tuple[int, ...]:
 
 
 def _canonical_masks(
-    parent: Sequence[int], codes: Sequence[int], masks: Sequence[int], reverse: Sequence[int]
+    parent: Sequence[int], codes: Sequence[int], alive: int, reverse: Sequence[int]
 ) -> list[tuple[int, ...]]:
     """The rows of the children of a canonical ``parent``, whose column
-    codes are ``codes``, by those ``masks`` that pass the orderly test.
+    codes are ``codes``, by those masks that pass the orderly test among
+    the ``alive`` ones, by increasing mask.
 
-    The ``masks`` must come by increasing code ``reverse[mask]``: the walk
-    reads a class's largest code off its highest index.  The children are
-    returned by increasing mask, the order that generation emits.
-
-    One depth-first walk over the prefixes of the parent's vertices that tie
-    its columns tests them all at once (the shared walk of the module
-    docstring).  A node holds the masks still alive as classes: bitsets
-    over the masks' indices, keyed by the new vertex's row over the prefix.
-    The new vertex is placed at the node for each mask of the class that
-    ties the node's column, and that mask's own orderly test goes on from
-    there (``_min_columns`` with ``start``).  A child's rows are built the
-    first time that continuation or the result needs them."""
+    ``alive`` is a bitset over the children's last-column codes: bit c
+    stands for the mask ``reverse[c]``.  One depth-first walk over the
+    prefixes of the parent's vertices that tie its columns tests them all
+    at once (the shared walk of the module docstring).  A node holds the
+    masks still alive as classes: bitsets over the codes, keyed by the new
+    vertex's row over the prefix.  The new vertex is placed at the node for
+    each mask of the class that ties the node's column, and that mask's own
+    orderly test goes on from there (``_min_columns`` with ``start``).  A
+    child's rows are built the first time that continuation or the result
+    needs them."""
     top = len(parent)
     limits = _insertion_limits(codes)
-    mask_codes = [reverse[mask] for mask in masks]
+    avoids = subset_masks(top)[0][::-1]  # avoids[v]: the codes whose mask does not hold v
     best = [*codes, 0]  # the child's column codes, the last one set per mask
-    children: list = [None] * len(masks)  # each child's rows, once built
-    holds = [0] * top  # holds[v]: the masks holding v, as a bitset over their indices
-    index = {}  # each mask's own bit
-    for i, mask in enumerate(masks):
-        index[mask] = 1 << i
-        for v in range(top):
-            holds[v] |= (mask >> v & 1) << i
-    new_twins = []  # the masks that make the new vertex a twin of v in the child
-    twins = []  # each v's twins in the parent, v included
-    for v, row in enumerate(parent):
-        new_twins.append(index.get(row, 0) | index.get(row | 1 << v, 0))
-        twins.append(sum(1 << w for w, other in enumerate(parent) if not (row ^ other) & ~(1 << v | 1 << w)))
+    children: dict[int, tuple[int, ...]] = {}  # each child's rows by mask, once built
+    # the codes that make the new vertex a twin of v in the child
+    new_twins = [1 << reverse[row] | 1 << reverse[row | 1 << v] for v, row in enumerate(parent)]
+    twins = [sum(1 << w for w, other in enumerate(parent) if not (row ^ other) & ~(1 << v | 1 << w))
+             for v, row in enumerate(parent)]  # each v's twins in the parent, v included
     order = [0] * top  # the parent vertex at each position of the prefix
-    alive = (1 << len(masks)) - 1
 
     def walk(j: int, unplaced: int, classes: list[tuple[int, int]]) -> None:
         nonlocal alive
@@ -357,25 +348,25 @@ def _canonical_masks(
             rest = twins[v] & explored
             while rest:  # v stays a twin of an explored w where the mask holds both or neither
                 other = rest & -rest
-                keep &= holds[v] ^ holds[other.bit_length() - 1]
+                keep &= avoids[v] ^ avoids[other.bit_length() - 1]
                 rest ^= other
             explored |= low
-            held = holds[v]
+            avoid = avoids[v]
             split = []
             for row, bits in classes:  # each splits by whether its masks hold v
                 bits &= keep
                 if not bits:
                     continue
                 row <<= 1  # the new vertex's row over the longer prefix
-                zero, one = bits & ~held, bits & held
+                zero = bits & avoid
+                one = bits ^ zero
                 if not shift:  # the new vertex last: its column reads the row
-                    alive &= ~(zero & -(1 << bisect_right(mask_codes, row))
-                               | one & -(1 << bisect_right(mask_codes, row | 1)))
+                    alive &= ~(zero & -(2 << row) | one & -(4 << row))
                     continue
                 # the insertion bound, or a largest code the row may still undercut
-                if zero and (row <= limit or row <= mask_codes[zero.bit_length() - 1] >> shift):
+                if zero and (row <= limit or row <= (zero.bit_length() - 1) >> shift):
                     split.append((row, zero))
-                if one and (row | 1 <= limit or row | 1 <= mask_codes[one.bit_length() - 1] >> shift):
+                if one and (row | 1 <= limit or row | 1 <= (one.bit_length() - 1) >> shift):
                     split.append((row | 1, one))
             if split:
                 order[j] = v
@@ -392,15 +383,19 @@ def _canonical_masks(
         while tie:  # the new vertex at position j, for each mask on its own
             low = tie & -tie
             tie ^= low
-            i = low.bit_length() - 1
-            best[top] = mask_codes[i]
-            children[i] = child = children[i] or _child(parent, masks[i])
+            best[top] = code = low.bit_length() - 1
+            mask = reverse[code]
+            children[mask] = child = children.get(mask) or _child(parent, mask)
             if _min_columns(child, best, orderly=True, start=start) is None:
                 alive &= ~low
 
     walk(0, (1 << top) - 1, [(0, alive)])
-    kept = sorted((masks[i], i) for i in range(len(masks)) if alive >> i & 1)
-    return [children[i] or _child(parent, mask) for mask, i in kept]
+    masks = []
+    while alive:
+        code = alive.bit_length() - 1
+        alive ^= 1 << code
+        masks.append(reverse[code])
+    return [children.get(mask) or _child(parent, mask) for mask in sorted(masks)]
 
 
 def _insertion_limits(codes: Sequence[int]) -> list[int]:
@@ -504,7 +499,7 @@ def _of_order(g: Graph, n: int) -> Graph:
 
 
 def _read_graph6_file(
-    path: str, lenient: bool, bad: list[tuple[int, str]]
+    path: str, lenient: bool, bad: list[tuple[int, str]], n: int | None = None
 ) -> Iterator[tuple[int, str, Graph]]:
     """``_parse_graph6_lines`` over the lines of the file at ``path``, read
     as they are decoded.
@@ -514,29 +509,32 @@ def _read_graph6_file(
     cannot be opened or read raises ``FileUnreadable``."""
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-            yield from _parse_graph6_lines(handle, path, lenient, bad)
+            yield from _parse_graph6_lines(handle, path, lenient, bad, n)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_graph6_lines(
-    lines: Iterable[str], where: str, lenient: bool, bad: list[tuple[int, str]]
+    lines: Iterable[str], where: str, lenient: bool, bad: list[tuple[int, str]], n: int | None = None
 ) -> Iterator[tuple[int, str, Graph]]:
     """The good lines as (lineno, graph6, graph) entries, counting from 1,
     skipping blank lines, one at a time so that a caller can keep as little
     of each as it needs.
 
     A good line's graph6 text has its whitespace and any ``GRAPH6_HEADER``
-    taken off; a bare header is an empty graph6 string, so a bad line.  A
-    bad line raises ``MalformedEncoding``, prefixed ``where:lineno:`` with
-    ``where`` naming the source (a path, or stdin), unless ``lenient``;
-    then it is skipped and appended to ``bad`` as (lineno, message)."""
+    taken off; a bare header is an empty graph6 string, so a bad line, and
+    so is a graph of another order than ``n``, when given.  A bad line
+    raises ``MalformedEncoding``, prefixed ``where:lineno:`` with ``where``
+    naming the source (a path, or stdin), unless ``lenient``; then it is
+    skipped and appended to ``bad`` as (lineno, message)."""
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
         try:
             g = parse_graph6(text)
+            if n is not None and g.n != n:
+                raise MalformedEncoding(f"order {g.n}, expected {n}")
         except FactorCritError as exc:
             if not lenient:
                 raise MalformedEncoding(f"{where}:{lineno}: {exc}") from exc
@@ -573,13 +571,7 @@ def enumerate_catalog(
 
     def ingested() -> Iterator[tuple[str, tuple[int, ...]]]:
         seen: set[str] = set()
-        for lineno, text, g in _read_graph6_file(path, lenient, skipped):
-            if g.n != n:
-                message = f"order {g.n}, expected {n}"
-                if not lenient:
-                    raise MalformedEncoding(f"{path}:{lineno}: {message}")
-                skipped.append((lineno, message))
-                continue
+        for _lineno, text, g in _read_graph6_file(path, lenient, skipped, n):
             if dedup == DEDUP_CANONICAL:
                 canon = canonical_graph6(g)
                 if canon in seen:

@@ -19,6 +19,7 @@ import pytest
 
 from factorcrit import (
     Catalog,
+    FactorCritError,
     FileUnreadable,
     Graph,
     KOutOfRange,
@@ -132,9 +133,9 @@ def test_orderly_tests_per_level(monkeypatch):
     tested: collections.Counter = collections.Counter()
     canonical_masks = search._canonical_masks
 
-    def walking(parent, codes, masks, reverse):
-        tested[len(parent) + 1] += len(masks)
-        return canonical_masks(parent, codes, masks, reverse)
+    def walking(parent, codes, alive, reverse):
+        tested[len(parent) + 1] += alive.bit_count()
+        return canonical_masks(parent, codes, alive, reverse)
 
     monkeypatch.setattr(search, "_canonical_masks", walking)
     assert sum(1 for _ in generate_nonisomorphic(7)) == KNOWN_COUNTS[7]
@@ -171,15 +172,15 @@ def test_last_swap_prefilter_skips_only_rejected_extensions():
 def test_insertion_bound_keeps_every_verdict(m):
     """The shared walk, with its insertion bound and its check of the new
     vertex placed last, gives every mask of every parent of order m-1,
-    handed over by increasing code without the prefilter, the verdict of
-    the mask's own plain orderly test, and returns the accepted children by
+    handed over as every code without the prefilter, the verdict of the
+    mask's own plain orderly test, and returns the accepted children by
     increasing mask."""
     top = m - 1
-    reverse = search._subset_images(range(top - 1, -1, -1))  # also every mask by increasing code
+    reverse = search._subset_images(range(top - 1, -1, -1))
     accepted = 0
     for parent in _parents(m):
         codes = search._column_codes(parent, top)
-        walked = search._canonical_masks(parent, codes, reverse, reverse)
+        walked = search._canonical_masks(parent, codes, (1 << (1 << top)) - 1, reverse)
         plain = [adj for mask, adj in enumerate(_child(parent, mask) for mask in range(1 << top))
                  if search._min_columns(adj, codes + [reverse[mask]], orderly=True) is not None]
         assert walked == plain, (parent, [adj[-1] for adj in walked], [adj[-1] for adj in plain])
@@ -286,6 +287,16 @@ def test_catalog_ingest_errors_and_lenient(tmp_path: Path):
     assert len(cat) == 1  # the order-3 line is dropped too
     with pytest.raises(FileUnreadable):
         enumerate_catalog(5, path=str(tmp_path / "missing.g6"))
+
+
+def test_catalog_ingest_names_the_line_of_another_order(tmp_path: Path):
+    path = tmp_path / "orders.g6"
+    path.write_text("D??\n\nBw\nD??\n", encoding="ascii")
+    with pytest.raises(MalformedEncoding, match=r"orders\.g6:3: order 3, expected 5$"):
+        enumerate_catalog(5, path=str(path))
+    bad: list = []
+    assert enumerate_catalog(5, path=str(path), lenient=True, bad=bad).graph6_lines == ("D??", "D??")
+    assert bad == [(3, "order 3, expected 5")]
 
 
 def test_catalog_ingest_non_ascii_line(tmp_path: Path):
@@ -626,6 +637,64 @@ def test_survey_stops_at_the_first_failed_proven_statement(tmp_path: Path, monke
         survey(enumerate_catalog(6), 2, jobs=jobs, jsonl_path=str(path))
     records = path.read_text().splitlines()
     assert len(records) == 119 and json.loads(records[-1])["graph6"] == "EK~o"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_records_an_error_and_counts_it_only_in_total(tmp_path: Path, monkeypatch, jobs):
+    """K_6 is 2-factor-critical and past the degree gate; its planted error
+    is written and reported, and it is not counted as k-factor-critical."""
+    cat = enumerate_catalog(6)
+    clean = survey(cat, 2)
+    target = encode_graph6(complete_graph(6))
+    kfc_and_minimal = search.kfc_and_minimal
+
+    def failing(g, k):
+        if encode_graph6(g) == target:
+            raise FactorCritError("planted")
+        return kfc_and_minimal(g, k)
+
+    monkeypatch.setattr(search, "kfc_and_minimal", failing)
+    path = tmp_path / "errors.jsonl"
+    report = survey(cat, 2, jobs=jobs, jsonl_path=str(path))
+    assert report.errors == [(target, "planted")]
+    assert report.total == clean.total == len(cat)
+    assert report.kfc_count == clean.kfc_count - 1
+    assert report.minimal_count == clean.minimal_count
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(cat)
+    assert [line for line in lines if '"error"' in line] == [
+        '{"error": "planted", "graph6": "%s", "kfc": false, "minimal": false}' % target]
+
+
+def test_survey_tallies_configuration_labels_and_predicates(monkeypatch):
+    """C_7 is minimally 1-factor-critical and 7 - 1 is a family order, so
+    its planted edge classifications and predicate reports are tallied."""
+    from factorcrit.configurations import PredicateCheck, PredicateReport
+
+    def match(label, ambiguous=False):
+        return SimpleNamespace(label=label, family="A", ambiguity_flag=ambiguous)
+
+    entries = {  # edge -> (classification, predicate report)
+        (0, 1): (match("Unclassified"), None),
+        (1, 2): (None, None),
+        (2, 3): (match("A1", ambiguous=True),
+                 PredicateReport("A1", "A", True, (PredicateCheck("a", True), PredicateCheck("b", False)))),
+        (3, 4): (match("A2"), PredicateReport("A2", "A", False, ())),
+        (4, 5): (match("A1"), PredicateReport("A1", "A", True, (PredicateCheck("a", True),))),
+    }
+    monkeypatch.setattr(search, "certify_minimal_edges", lambda g, k: {
+        e: SimpleNamespace(match=m, witness=0) for e, (m, _report) in entries.items()})
+    monkeypatch.setattr(search, "config_predicates", lambda g, e, witness, m: entries[e][1])
+    cat = Catalog.from_graphs(7, [cycle_graph(7)])
+    line = cat.graph6_lines[0]
+    report = survey(cat, 1, raise_on_violation=False)
+    assert report.minimal_count == 1
+    assert report.config_label_counts == {"A1": 2, "A2": 1, "Unclassified": 1}
+    assert report.ambiguous_count == 1
+    assert report.predicate_counts == {"passed": 2, "failed": 1, "vacuous_edges": 1, "skipped_edges": 1}
+    assert report.counterexamples == [(line, "config-completeness"), (line, "config-predicates")]
+    with pytest.raises(TheoremViolated, match=f"^config-completeness failed on {re.escape(line)}$"):
+        survey(cat, 1)
 
 
 def test_hunt_lists_every_failed_statement(monkeypatch):
