@@ -49,6 +49,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _rows_outside,
     add_edge,
     bits_list,
     is_independent,
@@ -321,26 +322,14 @@ def certify_minimal_edges(g: Graph, k: int) -> dict[tuple[int, int], EdgeClassif
 
 def _residual(g: Graph, e: tuple[int, int], witness: int) -> tuple[Graph, int, int]:
     """G - e - S for the witness set S of edge e = uv, its vertices
-    relabelled in order, with the new labels of u and v.  Each row is built
-    directly: the bit of every vertex of S, highest first, is cut out."""
+    relabelled in order, with the new labels of u and v."""
     u, v = e
-    kept = keep = g.vertex_mask & ~witness
-    cut = bits_list(witness)[::-1]
-    rows = []
-    while keep:  # each kept vertex w, as its bit
-        w_bit = keep & -keep
-        keep ^= w_bit
-        w = w_bit.bit_length() - 1
-        row = g.adj[w]
-        if w == u:
-            row &= ~(1 << v)
-        elif w == v:
-            row &= ~(1 << u)
-        for s in cut:
-            low = (1 << s) - 1
-            row = row & low | row >> 1 & ~low
-        rows.append(row)
-    residual = Graph._trusted(len(rows), tuple(rows))
+    adj = list(g.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    rows = _rows_outside(adj, witness)
+    residual = Graph._trusted(len(rows), rows)
+    kept = g.vertex_mask & ~witness
     return residual, (kept & (1 << u) - 1).bit_count(), (kept & (1 << v) - 1).bit_count()
 
 

@@ -214,8 +214,6 @@ def _witness_complements(
         w_bit = partners & -partners
         partners ^= w_bit
         forced &= ~((avoid_u & without[w_bit.bit_length() - 1]) << (u_bit | w_bit))
-        if not forced:
-            return 0
     return forced
 
 

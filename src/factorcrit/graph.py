@@ -246,25 +246,35 @@ def degree_profile(g: Graph) -> dict[int, int]:
     return profile
 
 
+def _rows_outside(adj: Sequence[int], cut: int) -> tuple[int, ...]:
+    """The rows of the vertices outside the mask ``cut``, relabelled in
+    order: from each row the bit of every vertex of ``cut``, highest first,
+    is cut out."""
+    drop = bits_list(cut)[::-1]
+    rows = []
+    for w in iter_bits((1 << len(adj)) - 1 & ~cut):
+        row = adj[w]
+        for s in drop:
+            below = (1 << s) - 1
+            row = row & below | row >> 1 & ~below
+        rows.append(row)
+    return tuple(rows)
+
+
 def delete_vertices(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph after removing ``vertices``.
 
     Survivors are relabeled order-preservingly; the returned map sends each
     old index to its new one so callers can track vertex roles across the
-    deletion.
+    deletion.  The rows come from ``_rows_outside``, the routine that also
+    builds the survey's residuals G - e - S.
     """
     smask = vertices if isinstance(vertices, int) else mask_from(vertices)
     if smask & ~g.vertex_mask:
         raise VertexOutOfRange("deletion set contains vertices outside the graph")
-    keep = g.vertex_mask & ~smask
-    index_map = {old: new for new, old in enumerate(iter_bits(keep))}
-    rows = []
-    for old in iter_bits(keep):
-        row = 0
-        for w in iter_bits(g.adj[old] & keep):
-            row |= 1 << index_map[w]
-        rows.append(row)
-    return Graph._trusted(len(rows), tuple(rows)), index_map
+    rows = _rows_outside(g.adj, smask)
+    index_map = {old: new for new, old in enumerate(iter_bits(g.vertex_mask & ~smask))}
+    return Graph._trusted(len(rows), rows), index_map
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:

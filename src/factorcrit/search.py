@@ -934,7 +934,9 @@ def hunt_counterexamples(
     Orders with a supplied file are ingested, the rest generated; an order
     that the rule gives no valid k is not surveyed.  A file for an order
     that is not surveyed, outside ``orders`` or without a valid k, raises
-    ``PreconditionUnmet`` before any catalog is built.  When no order has a
+    ``PreconditionUnmet`` before any catalog is built, and so does
+    ``OrderTooLargeForGenerate`` for a surveyed order without a file above
+    ``GENERATE_MAX_ORDER``.  When no order has a
     valid k, ``KOutOfRange`` names the orders and the rule.
 
     ``invert_predicate`` is a self-test that failures surface: after each
@@ -955,6 +957,9 @@ def hunt_counterexamples(
     stray = sorted(set(files) - {n for n, ks in sweeps if ks})
     if stray:
         raise PreconditionUnmet(f"catalog files given for orders {stray}, which are not surveyed")
+    for n, ks in sweeps:
+        if ks and n not in files:
+            _check_generate_order(n)
     if not any(ks for _n, ks in sweeps):
         if isinstance(orders, range) and orders.step == 1:
             shown = f"{orders.start}..{orders.stop - 1}"

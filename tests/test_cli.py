@@ -100,6 +100,13 @@ def test_classify_and_predicates(capsys):
     assert code == 0 and payload["results"]
 
 
+def test_predicates_on_a_non_edge_exits_2(capsys):
+    # The pair is sorted before the lookup, so "3,1" is named as (1, 3).
+    w7 = encode_graph6(wheel_graph(7))
+    code, out, err = run_cli(["predicates", "--k", "2", "--edge", "3,1", w7], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: edge (1, 3) not in graph\n")
+
+
 def test_verify_wheel(capsys):
     w7 = encode_graph6(wheel_graph(7))
     code, out, _ = run_cli(["verify", "--k", "2", w7], capsys=capsys)
@@ -278,6 +285,12 @@ def test_hunt_with_nothing_to_survey_exits_2(capsys, bounds, shown):
     code, out, err = run_cli(["hunt", *bounds, "--jobs", "1"], capsys=capsys)
     assert code == 2 and out == ""
     assert shown in err and "rule" in err
+
+
+def test_hunt_above_the_generation_order_exits_2(capsys):
+    code, out, err = run_cli(["hunt", "--n-from", "8", "--n-to", "10", "--offset", "6",
+                              "--jobs", "1"], capsys=capsys)
+    assert code == 2 and out == "" and "stops at order 9" in err
 
 
 def test_hunt_catalog_outside_the_orders_or_given_twice_exits_2(capsys):

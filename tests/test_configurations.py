@@ -17,7 +17,6 @@ from factorcrit import (
     config_predicates,
     cycle_graph,
     delete_vertices,
-    remove_edge,
     residual_family,
     wheel_graph,
 )
@@ -27,10 +26,11 @@ from factorcrit.configurations import (
     TEMPLATES,
     UNCLASSIFIED,
     ConfigurationMatch,
+    _match_template,
     _residual,
 )
 from factorcrit.graph import bits_list
-from factorcrit.matching import tutte_violators
+from factorcrit.matching import TutteCertificate, tutte_violators
 from goldens import (
     CLASSIFICATION_GOLDEN,
     PREDICATES_GOLDEN,
@@ -135,6 +135,28 @@ def test_b_family_fixed_points():
         assert match.label == expected, (expected, match.label)
 
 
+@pytest.mark.parametrize(
+    "g, x, u, v, family",
+    [(G(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)]), 0, 0, 2, "A"),
+     (G(6, [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)]), 0b11, 0, 1, "C"),
+     (G(6, [(0, b) for b in (1, 2, 3, 4, 5)]), 0b1, 0, 1, "A"),
+     (TWO_TRIANGLES, 0, 0, 3, "B"),
+     (G(6, [(0, 2), (1, 2), (4, 2), (4, 3), (5, 2), (5, 3)]), 0b1100, 0, 1, "A"),
+     (G(8, [(0, 2), (1, 3), (1, 4), (3, 4), (5, 6), (5, 7), (6, 7), (2, 3)]), 0b100, 0, 1, "B"),
+     (G(6, [(0, 2), (0, 4), (1, 4), (0, 5), (1, 5)]), 0b11, 2, 3, "C")],
+    ids=["one-component", "both-in-x", "endpoint-in-x", "a1-shape-in-family-b",
+         "a3-without-distinct-attachments", "b4-x-misses-the-spare-triple",
+         "c4-x-misses-u-and-v"],
+)
+def test_match_template_leaves_unmatched_certificates_unclassified(g, x, u, v, family):
+    """Each way a certificate can miss every template.  None of these is
+    reached by an admissible order-6 instance, so the match is called
+    directly; the last three differ from A3's, B4's and C4's fixed points
+    only in the side condition."""
+    cert = TutteCertificate.build(g, x)
+    assert _match_template(g, u, v, family, cert) == (UNCLASSIFIED, {}, {})
+
+
 def test_classified_instances_have_forced_deficit_two(catalog):
     for g in catalog(6):
         for u, v in itertools.combinations(range(6), 2):
@@ -214,9 +236,10 @@ def test_certify_minimal_edges_wheel():
 
 
 def test_residual_rows_equal_the_deleted_subgraph(catalog):
-    """The residual G - e - S built row by row is the graph that
-    ``delete_vertices(remove_edge(g, u, v), S)`` builds, and the endpoints'
-    new labels are its index map's."""
+    """The residual G - e - S and ``delete_vertices(g, S)`` both equal a
+    pairwise ``has_edge`` rebuild of the kept vertices in order, without the
+    edge uv for the residual, and the endpoints' new labels and the index
+    map are the kept vertices' positions."""
     checked = 0
     for g in catalog(6):
         for u, v in g.edges():
@@ -224,8 +247,14 @@ def test_residual_rows_equal_the_deleted_subgraph(catalog):
             for size in range(5):
                 for s in itertools.combinations(bits_list(rest), size):
                     witness = sum(1 << w for w in s)
-                    expected, index = delete_vertices(remove_edge(g, u, v), witness)
-                    assert _residual(g, (u, v), witness) == (expected, index[u], index[v])
+                    kept = [w for w in range(g.n) if w not in s]
+                    pairs = [(i, j) for i, j in itertools.combinations(range(len(kept)), 2)
+                             if g.has_edge(kept[i], kept[j])]
+                    induced = G(len(kept), pairs)
+                    residual = G(len(kept), [p for p in pairs
+                                             if {kept[p[0]], kept[p[1]]} != {u, v}])
+                    assert delete_vertices(g, witness) == (induced, {w: i for i, w in enumerate(kept)})
+                    assert _residual(g, (u, v), witness) == (residual, kept.index(u), kept.index(v))
                     checked += 1
     assert checked > 10000
 

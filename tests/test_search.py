@@ -588,6 +588,17 @@ def test_hunt_with_nothing_to_survey_raises(monkeypatch, orders, rule, shown):
     assert ("all valid k" if rule == "all-valid" else f"k = n - {rule}") in str(info.value)
 
 
+def test_hunt_above_the_generation_order_raises_before_any_catalog(monkeypatch, tmp_path):
+    monkeypatch.setattr(search, "enumerate_catalog", lambda *a, **kw: pytest.fail("catalog built"))
+    with pytest.raises(OrderTooLargeForGenerate, match="stops at order 9"):
+        hunt_counterexamples(range(8, 11), k_rule=6)
+    monkeypatch.undo()
+    # An order-10 file is ingested, not generated, so it still passes.
+    path = tmp_path / "order10.g6"
+    path.write_text(f"{encode_graph6(complete_graph(10))}\n{encode_graph6(cycle_graph(10))}\n")
+    assert hunt_counterexamples([10], k_rule=6, files={10: str(path)}) == []
+
+
 def test_hunt_builds_no_catalog_for_an_order_without_k(monkeypatch):
     built: list[int] = []
     original = search.enumerate_catalog
