@@ -53,6 +53,7 @@ from .verifiers import check_n4_characterization, minimal_verdicts
 from .search import (
     SCHEMA,
     _check_generate_order,
+    _check_survey_k,
     _parse_graph6_lines,
     _read_graph6_file,
     _usable_cpus,
@@ -216,13 +217,12 @@ def _verify(args: argparse.Namespace, label: str, g: Graph, results: list, lines
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
-    if args.gen is not None:
-        catalog = enumerate_catalog(args.gen)
-    else:
-        bad: list[tuple[int, str]] = []
-        catalog = enumerate_catalog(args.n, path=args.file, lenient=args.lenient, bad=bad)
-        for lineno, message in bad:
-            print(f"{args.file}:{lineno}: skipped: {message}", file=sys.stderr)
+    n = args.n if args.gen is None else args.gen
+    _check_survey_k(n, args.k)  # before any graph is generated or read
+    bad: list[tuple[int, str]] = []
+    catalog = enumerate_catalog(n, path=args.file, lenient=args.lenient, bad=bad)
+    for lineno, message in bad:
+        print(f"{args.file}:{lineno}: skipped: {message}", file=sys.stderr)
     report = survey(catalog, args.k, jobs=args.jobs, jsonl_path=args.jsonl,
                     skip=args.resume_lines)
     payload = report.to_json()
@@ -369,18 +369,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if getattr(args, "command", None) == "survey":
-        if (args.gen is None) == (args.file is None):
-            print("survey needs exactly one of --gen or --file", file=sys.stderr)
-            return EXIT_USAGE
-        if args.file is not None and args.n is None:
-            print("survey --file needs --n for the declared order", file=sys.stderr)
-            return EXIT_USAGE
-        if args.gen is not None and args.n not in (None, args.gen):
-            print(f"survey --n {args.n} contradicts --gen {args.gen}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.resume_lines > 0 and args.jsonl is None:
-            print("survey --resume-lines needs --jsonl, the file it resumes", file=sys.stderr)
-            return EXIT_USAGE
+        for wrong, message in (
+            ((args.gen is None) == (args.file is None), "survey needs exactly one of --gen or --file"),
+            (args.file is not None and args.n is None, "survey --file needs --n for the declared order"),
+            (args.gen is not None and args.n not in (None, args.gen),
+             f"survey --n {args.n} contradicts --gen {args.gen}"),
+            (args.resume_lines < 0, f"survey --resume-lines must be at least 0, not {args.resume_lines}"),
+            (args.resume_lines > 0 and args.jsonl is None,
+             "survey --resume-lines needs --jsonl, the file it resumes"),
+        ):
+            if wrong:
+                print(message, file=sys.stderr)
+                return EXIT_USAGE
     if getattr(args, "jobs", 1) < 1:
         print(f"{args.command} --jobs must be at least 1, not {args.jobs}", file=sys.stderr)
         return EXIT_USAGE

@@ -41,7 +41,9 @@ class ParityMismatch(FactorCritError):
 
 
 class KOutOfRange(FactorCritError):
-    """k is outside 0 <= k < n."""
+    """k, or an order, is out of range: a k-factor-criticality k outside
+    0 <= k < n, a survey k outside 1 <= k <= n-2, an order below 1 for
+    generation, or a hunt whose orders leave no valid k under its rule."""
 
 
 class NotCritical(FactorCritError):

@@ -138,8 +138,7 @@ class PerfectMatcher:
         if found is None:
             adj = self.adj
             found = not mask.bit_count() & 1 and (
-                _pairs_greedily(adj, mask) or _augments_every_root(
-                    [row & mask if mask >> v & 1 else 0 for v, row in enumerate(adj)], mask))
+                _pairs_greedily(adj, mask) or _augments_every_root(adj, mask))
             self._memo[mask] = found
         return found
 
@@ -215,14 +214,14 @@ def _maximum_mates(rows: Sequence[int]) -> list[int]:
     return mate
 
 
-def _augments_every_root(rows: Sequence[int], mask: int) -> bool:
-    """Whether the graph with adjacency bitsets ``rows``, whose edges lie
-    inside ``mask``, has a matching that covers ``mask``.  Stops at the
-    first vertex left exposed by greedy pairing from which no augmenting
-    path starts: by Edmonds' lemma no later augmentation covers it."""
-    n = len(rows)
+def _augments_every_root(adj: Sequence[int], mask: int) -> bool:
+    """Whether the subgraph that ``mask`` induces in the graph with
+    adjacency bitsets ``adj`` has a perfect matching.  Stops at the first
+    vertex left exposed by greedy pairing from which no augmenting path
+    starts: by Edmonds' lemma no later augmentation covers it."""
+    rows = [row & mask if mask >> v & 1 else 0 for v, row in enumerate(adj)]
     mate = _greedy_mates(rows)
-    return all(_augment_from(v, rows, mate, n) for v in iter_bits(mask) if mate[v] == -1)
+    return not any(_augment_from(v, rows, mate, len(rows)) for v in iter_bits(mask) if mate[v] == -1)
 
 
 def _greedy_mates(rows: Sequence[int]) -> list[int]:
@@ -241,7 +240,13 @@ def _greedy_mates(rows: Sequence[int]) -> list[int]:
     return mate
 
 
-def _augment_from(root: int, rows: Sequence[int], mate: list[int], n: int) -> bool:
+def _augment_from(root: int, rows: Sequence[int], mate: list[int], n: int) -> int:
+    """Grow an alternating tree from the exposed vertex ``root``, contracting
+    blossoms, and augment ``mate`` along the first augmenting path it finds,
+    returning 0.  When none starts at ``root`` the search ends with every
+    vertex that an even-length alternating path from ``root`` reaches
+    marked even, blossom members included, and ``mate`` unchanged; it then
+    returns the mask of those vertices, ``root`` among them, so never 0."""
     parent = [-1] * n
     base = list(range(n))
     in_tree = [False] * n
@@ -299,7 +304,7 @@ def _augment_from(root: int, rows: Sequence[int], mate: list[int], n: int) -> bo
                 in_tree[mate[to]] = True
                 queue.append(mate[to])
     if end == -1:
-        return False
+        return mask_from(v for v in range(n) if in_tree[v])
     v = end
     while v != -1:
         pv = parent[v]
@@ -307,7 +312,7 @@ def _augment_from(root: int, rows: Sequence[int], mate: list[int], n: int) -> bo
         mate[v] = pv
         mate[pv] = v
         v = nxt
-    return True
+    return 0
 
 
 @dataclass(frozen=True)
@@ -447,17 +452,23 @@ def gallai_edmonds_barrier(g: Graph) -> int:
     structure theorem every component of G[D] is odd, the rest of G - A has
     a perfect matching, and G - A has n - 2 nu + |A| odd components, so A
     attains the deficiency n - 2 nu.  Unlike ``tutte_violators`` it need not
-    be a smallest such set.  One blossom matching per vertex.
+    be a smallest such set.
+
+    D is read off one maximum matching M.  Switching M along an even-length
+    alternating path from an M-exposed vertex r to v gives a maximum
+    matching that leaves v exposed.  Conversely, when a maximum matching M'
+    leaves v exposed and M does not, the path of M xor M' that ends at v is
+    such a path: its other end is exposed by M, since a path with both ends
+    exposed by M' would augment M'.  So D is the union, over the M-exposed
+    vertices r, isolated ones included, of the even vertices of the tree
+    that a blossom search from r grows; with M maximum none of these
+    searches augments.
     """
-    exposed = _maximum_mates(g.adj).count(-1)
-    d_set = 0
-    for v in range(g.n):
-        bit = 1 << v
-        # G - v, with v kept as an isolated vertex, has as many exposed
-        # vertices as G exactly when nu(G - v) = nu(G).
-        if _maximum_mates([0 if u == v else row & ~bit for u, row in enumerate(g.adj)]).count(-1) == exposed:
-            d_set |= bit
-    reach = 0
+    mate = _maximum_mates(g.adj)
+    d_set = reach = 0
+    for root in range(g.n):
+        if mate[root] == -1:
+            d_set |= _augment_from(root, g.adj, mate, g.n)
     for v in iter_bits(d_set):
         reach |= g.adj[v]
     return reach & ~d_set

@@ -679,6 +679,18 @@ def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
     return record
 
 
+def _check_survey_k(n: int, k: int) -> None:
+    """Raise ``KOutOfRange`` or ``ParityMismatch`` unless a survey of order
+    ``n`` can run at ``k``: 1 <= k <= n-2, with the parity of n.  It reads
+    no catalog, so a caller can check before building one."""
+    if n < 3:
+        raise KOutOfRange(f"order {n} has no valid k (surveys need 1 <= k <= n-2)")
+    if not 1 <= k <= n - 2:
+        raise KOutOfRange(f"k={k} outside 1..{n - 2}")
+    if (n - k) % 2:
+        raise ParityMismatch(f"k={k} and order {n} have different parity")
+
+
 def survey(
     catalog: Catalog,
     k: int,
@@ -714,12 +726,7 @@ def survey(
     way.
     """
     n = catalog.n
-    if n < 3:
-        raise KOutOfRange(f"order {n} has no valid k (surveys need 1 <= k <= n-2)")
-    if not 1 <= k <= n - 2:
-        raise KOutOfRange(f"k={k} outside 1..{n - 2}")
-    if (n - k) % 2:
-        raise ParityMismatch(f"k={k} and order {n} have different parity")
+    _check_survey_k(n, k)
     if not 0 <= skip <= len(catalog):
         raise PreconditionUnmet(f"skip={skip} outside 0..{len(catalog)}")
     report = SurveyReport(n=n, k=k, source=catalog.source)

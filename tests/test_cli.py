@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from factorcrit import (
+    cli,
     complete_bipartite,
     cycle_graph,
     encode_graph6,
@@ -21,6 +22,7 @@ from factorcrit import (
     wheel_graph,
 )
 from factorcrit.cli import build_parser, main
+from factorcrit.search import enumerate_catalog
 
 
 def run_cli(argv, stdin: str | None = None, capsys=None):
@@ -185,14 +187,34 @@ def test_survey_resume_lines_without_jsonl_exits_2(capsys):
                    capsys=capsys)[0] == 0
 
 
-@pytest.mark.parametrize("skip", ["-3", "35"])
-def test_survey_resume_lines_out_of_range_exits_2(tmp_path: Path, capsys, skip):
+@pytest.mark.parametrize("skip, builds, message", [
+    ("-3", 0, "survey --resume-lines must be at least 0, not -3\n"),
+    ("35", 1, "error: skip=35 outside 0..34\n"),
+], ids=["-3", "35"])
+def test_survey_resume_lines_out_of_range_exits_2(tmp_path: Path, capsys, monkeypatch, skip, builds, message):
+    """A negative count is a usage error, reported before any catalog is
+    built; a count past the catalog's end is found by the survey."""
+    built: list[int] = []
+
+    def counted(n, **kwargs):
+        built.append(n)
+        return enumerate_catalog(n, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_catalog", counted)
     path = tmp_path / "records.jsonl"
     code, out, err = run_cli(["survey", "--gen", "5", "--k", "1", "--json", "--jobs", "1",
                               "--jsonl", str(path), "--resume-lines", skip], capsys=capsys)
-    assert (code, out) == (2, "")
-    assert f"skip={skip} outside 0..34" in err
+    assert (code, out, err, len(built)) == (2, "", message, builds)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("source", [["--gen", "9"], ["--file", "absent.g6", "--n", "9"]], ids=["gen", "file"])
+def test_survey_checks_k_before_any_catalog(capsys, monkeypatch, source):
+    """A wrong k exits before generation or ingest: the catalog builder is
+    never called, so the absent file is never opened."""
+    monkeypatch.setattr(cli, "enumerate_catalog", lambda *a, **kw: pytest.fail("catalog built"))
+    assert run_cli(["survey", *source, "--k", "4", "--jobs", "1"], capsys=capsys) == (
+        2, "", "error: k=4 and order 9 have different parity\n")
 
 
 def test_gen_counts(capsys):

@@ -20,10 +20,13 @@ from factorcrit import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    delete_vertices,
+    encode_graph6,
     enumerate_perfect_matchings,
     forced_edge,
     gallai_edmonds_barrier,
     has_perfect_matching,
+    matching,
     max_deficiency,
     maximum_matching,
     maximum_matching_bruteforce,
@@ -104,8 +107,6 @@ def test_maximum_matching_deterministic_cardinality():
 def test_has_perfect_matching_examples():
     assert has_perfect_matching(complete_graph(2))
     assert not has_perfect_matching(complete_graph(3))
-    from factorcrit import delete_vertices
-
     h, _ = delete_vertices(cycle_graph(6), {0, 2})
     assert not has_perfect_matching(h)
 
@@ -384,6 +385,70 @@ def test_gallai_edmonds_barrier_large_orders(n, p, rng):
     started = time.monotonic()
     _assert_barrier_attains_the_deficiency(_random_graph(rng, n, p))
     assert time.monotonic() - started <= 2.0
+
+
+def _definitional_barrier(g: Graph) -> tuple[int, int]:
+    """(D, N(D) - D), with D built from its definition: the vertices v with
+    nu(G - v) = nu(G)."""
+    nu = len(maximum_matching(g).edges)
+    d_set = sum(1 << v for v in range(g.n)
+                if len(maximum_matching(delete_vertices(g, [v])[0]).edges) == nu)
+    neighbours = {w for v in bits_list(d_set) for w in range(g.n) if g.has_edge(v, w)}
+    return d_set, sum(1 << w for w in neighbours) & ~d_set
+
+
+def test_gallai_edmonds_barrier_equals_its_definition(catalog, monkeypatch):
+    """The barrier equals N(D) - D on every graph of order at most 8 and on
+    seeded random graphs of orders 20-62, from one maximum matching.  The
+    even-vertex masks that its own searches return, after that matching,
+    OR to D itself, which N(D) - D alone does not pin: an isolated vertex
+    is in D but in no N(D)."""
+    mates_calls: list[int] = []
+    searched: list[int] = []
+    real_mates, real_search = matching._maximum_mates, matching._augment_from
+
+    def counted_mates(rows):
+        mate = real_mates(rows)
+        mates_calls.append(1)
+        return mate
+
+    def recorded_search(root, rows, mate, n):
+        found = real_search(root, rows, mate, n)
+        if mates_calls:  # a search of the barrier, not of the matching
+            searched.append(found)
+        return found
+
+    monkeypatch.setattr(matching, "_maximum_mates", counted_mates)
+    monkeypatch.setattr(matching, "_augment_from", recorded_search)
+    rng = random.Random(7)
+    randoms = [_random_graph(rng, n, p) for n in range(20, 63, 3) for p in (0.03, 0.06, 0.1, 0.2)]
+    for g in [g for n in range(1, 9) for g in catalog(n)] + randoms:
+        d_set, expected = _definitional_barrier(g)
+        mates_calls.clear()
+        searched.clear()
+        assert gallai_edmonds_barrier(g) == expected, encode_graph6(g)
+        assert len(mates_calls) == 1
+        union = 0
+        for mask in searched:
+            union |= mask
+        assert union == d_set, encode_graph6(g)
+
+
+def test_pm_exists_stops_at_the_first_root_without_an_augmenting_path(monkeypatch):
+    """Greedy pairing matches the centre of K_{1,5} to one leaf and leaves
+    the other four exposed.  No augmenting path starts at the first, and by
+    Edmonds' lemma none ever will, so one search decides the mask."""
+    searches: list[int] = []
+    real_search = matching._augment_from
+
+    def counted(root, rows, mate, n):
+        searches.append(root)
+        return real_search(root, rows, mate, n)
+
+    monkeypatch.setattr(matching, "_augment_from", counted)
+    g = star_graph(5)
+    assert not PerfectMatcher(g).pm_exists(g.vertex_mask)
+    assert searches == [2]
 
 
 def test_matching_type_validation():
