@@ -12,8 +12,10 @@ minimality and finds canonical forms.  It fills positions 0, 1, ... in turn,
 starting from the identity labeling as the best so far, and runs in two
 modes:
 
-- orderly (generation): stop at the first column that comes out smaller
-  than the identity's, which proves the labeling is not minimal;
+- orderly: stop at the first column that comes out smaller than the
+  identity's, which proves the labeling is not minimal; generation decides
+  its masks in the shared walk below, and the tests check that walk
+  against this mode, one mask at a time;
 - canonical (``canonical_form``): when a column comes out smaller, replace
   the best codes from that column on and keep searching.
 
@@ -37,35 +39,48 @@ the mask.  Two rules decide every mask of every parent:
   smaller than P's column m-2, the swap proves P+mask is not minimal, so
   the mask is skipped untested.
 - Shared walk (``_canonical_masks``).  One depth-first walk per parent P
-  tests all of its other masks together.  Until t is placed, a labeling's
+  decides all of its other masks together.  Until t is placed, a labeling's
   prefix holds only P's vertices and its columns are P's own, whatever the
   mask: none comes out smaller, since P is canonical, and the prefixes
   that tie P's columns are the same for every mask.  The walk visits each
-  of them once, carrying the masks still alive as bitsets over their codes,
-  in classes keyed by c, t's row over the prefix; placing a P vertex v
-  splits each class by whether the mask holds v.  At depth j, t's column j
-  would read c: the masks whose c is smaller than P's column j are
-  rejected, those whose c ties it place t at j and go on one at a time
-  through their own orderly search from that prefix, and the others leave
-  t unplaced.  Twin pruning holds per mask: P's twins v and w stay twins in
-  the child only for the masks that hold both or neither, and t is a twin
-  of w only for the masks P[w] and P[w] | w.
+  of them once, carrying the masks still alive as bitsets over their codes.
+  Unplaced classes are keyed by c, t's row over the prefix; placing a P
+  vertex v splits each class by whether the mask holds v.  At depth j, t's
+  column j would read c: the masks whose c is smaller than P's column j
+  are rejected, those whose c ties it form the placed class of position j,
+  and the others leave t unplaced.
 
-  Two bounds cut classes, and the second also settles the labelings that
-  place t last.  While t is unplaced at depth j, with its row over the placed prefix
-  reading c, a smaller labeling in the subtree either places t at some
-  position j <= i < m-1, after columns 1..i-1 that tie P's, or places t
-  last.  In the first case column i starts with the bits c, so c is at
-  most the first j bits of one of P's columns i >= j
+  A placed class holds the masks that put t at a position p of the current
+  path and tied every column since.  The next P vertex v takes the next
+  position, and its column reads P's rows of the prefix but for one bit:
+  the bit at p, which is whether the mask holds v.  So that one bit splits
+  a placed class on v as it splits an unplaced one, and the two parts'
+  columns differ only there.  A part whose column is smaller than the
+  identity's is rejected, a tying part goes down, and a larger one is
+  dropped.  The comparison narrows vertex bitsets one prefix row at a time,
+  as for the candidates of a position, so the walk visits only the
+  vertices on which some class ties.  When v is the last vertex, the
+  identity's column there is the mask's own code, so a part rejects the
+  codes above v's column.  Only one part of a split can tie, so each
+  position keeps one placed class.  Twin pruning holds per mask, in placed
+  and unplaced classes alike: P's twins v and w stay twins in the child
+  only for the masks that hold both or neither.
+
+  Two bounds cut unplaced classes, and the second also settles the labelings
+  that place t last.  While t is unplaced at depth j, with its row over the
+  placed prefix reading c, a smaller labeling in the subtree either places t
+  at some position j <= i < m-1, after columns 1..i-1 that tie P's, or
+  places t last.  In the first case column i starts with the bits c, so c is
+  at most the first j bits of one of P's columns i >= j
   (``_insertion_limits``).  In the second, the columns of P's vertices
-  relabel P, which is canonical, so they tie only when the relabeling is
-  an automorphism of P, and then t's last column is the class's row over
-  all of P.  So when a split completes that row, at depth m-2, the walk
-  rejects each mask of the class whose own code exceeds it; and since the
-  row starts with c, it can undercut only a mask whose code's first j bits
-  are at least c.  A class's largest code is its highest bit, and a class
-  enters a subtree only while c is at most the limit or at most the first
-  j bits of its largest code.
+  relabel P, which is canonical, so they tie only when the relabeling is an
+  automorphism of P, and then t's last column is the class's row over all of
+  P.  So when a split completes that row, at depth m-2, the walk rejects
+  each mask of the class whose own code exceeds it; and since the row starts
+  with c, it can undercut only a mask whose code's first j bits are at least
+  c.  A class's largest code is its highest bit, and a class enters a
+  subtree only while c is at most the limit or at most the first j bits of
+  its largest code.
 """
 
 from __future__ import annotations
@@ -140,12 +155,7 @@ def _column_codes(adj: Sequence[int], n: int) -> list[int]:
     return codes
 
 
-def _min_columns(
-    adj: Sequence[int],
-    best: list[int],
-    orderly: bool,
-    start: Sequence[int] = (),
-) -> list[int] | None:
+def _min_columns(adj: Sequence[int], best: list[int], orderly: bool) -> list[int] | None:
     """Column codes of the lexicographically minimal relabeling of ``adj``.
 
     ``best`` holds the identity's column codes (``_column_codes``), which
@@ -161,18 +171,13 @@ def _min_columns(
     that vertex.  Twins of a candidate already explored at the same depth
     are skipped (see the module docstring).
 
-    ``start``, for an orderly test only, holds the vertices already placed
-    at positions 0, 1, ..., whose columns must tie ``best``: the search then
-    walks only their subtree.  Generation's shared walk
-    (``_canonical_masks``) hands on each child this way.
+    The program calls only the canonical mode, through ``canonical_form``.
+    Generation decides its masks in the shared walk (``_canonical_masks``);
+    the orderly mode is the per-mask oracle that the tests hold it to.
     """
     n = len(best)
     placed = [0] * n  # row of the vertex at each filled position
     bounded = n  # positions below this one are bounded by ``best``
-    unplaced = (1 << n) - 1
-    for j, v in enumerate(start):
-        placed[j] = adj[v]
-        unplaced ^= 1 << v
 
     def dfs(j: int, unplaced: int) -> bool:
         nonlocal bounded
@@ -231,7 +236,7 @@ def _min_columns(
                 return False
         return True
 
-    return best if dfs(len(start), unplaced) else None
+    return best if dfs(0, (1 << n) - 1) else None
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -305,44 +310,83 @@ def _canonical_masks(
 
     ``alive`` is a bitset over the children's last-column codes: bit c
     stands for the mask ``reverse[c]``.  One depth-first walk over the
-    prefixes of the parent's vertices that tie its columns tests them all
-    at once (the shared walk of the module docstring).  A node holds the
-    masks still alive as classes: bitsets over the codes, keyed by the new
-    vertex's row over the prefix.  The new vertex is placed at the node for
-    each mask of the class that ties the node's column, and that mask's own
-    orderly test goes on from there (``_min_columns`` with ``start``).  A
-    child's rows are built the first time that continuation or the result
-    needs them."""
+    prefixes of the parent's vertices that tie its columns decides them all
+    at once (the shared walk of the module docstring), with no search of
+    its own per mask.  A node holds the masks still alive as bitsets over
+    the codes: unplaced classes, keyed by the new vertex's row over the
+    prefix, and one placed class for each position of the path at which the
+    new vertex tied.  A node with no placed class visits only the parent
+    vertices whose column ties; one with a placed class visits those on
+    which some placed part ties as well.  The accepted children's rows are
+    built at the end."""
     top = len(parent)
     limits = _insertion_limits(codes)
     avoids = subset_masks(top)[0][::-1]  # avoids[v]: the codes whose mask does not hold v
-    best = [*codes, 0]  # the child's column codes, the last one set per mask
-    children: dict[int, tuple[int, ...]] = {}  # each child's rows by mask, once built
-    # the codes that make the new vertex a twin of v in the child
-    new_twins = [1 << reverse[row] | 1 << reverse[row | 1 << v] for v, row in enumerate(parent)]
     twins = [sum(1 << w for w, other in enumerate(parent) if not (row ^ other) & ~(1 << v | 1 << w))
              for v, row in enumerate(parent)]  # each v's twins in the parent, v included
-    order = [0] * top  # the parent vertex at each position of the prefix
 
-    def walk(j: int, unplaced: int, classes: list[tuple[int, int]]) -> None:
+    # ``prefix`` holds the rows of the parent vertices placed so far
+    def walk(prefix: list[int], unplaced: int, classes: list[tuple[int, int]], placed: list[tuple[int, int]]) -> None:
         nonlocal alive
+        j = len(prefix)
         bound = codes[j]
-        cand = unplaced  # the parent vertices whose column j ties
-        for i in range(j):
-            row = parent[order[i]]
-            cand &= row if bound >> (j - 1 - i) & 1 else ~row
+        cand = _narrow(unplaced, prefix, bound)[0]  # the parent vertices whose column j ties
         tie = 0  # the masks whose new vertex's column j ties
         for row, bits in classes:
             if row < bound:  # its column j comes out smaller
                 alive &= ~bits
             elif row == bound:
                 tie = bits
+        tie &= alive
+        if tie:  # the new vertex placed at j
+            placed = [*placed, (j, tie)]
+
+        if j == top - 1:  # one parent vertex v is left, and it or the new vertex comes last
+            v = unplaced.bit_length() - 1
+            avoid = avoids[v]
+            last = 0  # v's row over the prefix
+            for row in prefix:
+                last = last << 1 | row >> v & 1
+            for row, bits in classes if cand else ():  # v at j, the new vertex's column reads its row
+                row <<= 1
+                zero = bits & avoid
+                alive &= ~(zero & -(2 << row) | (bits ^ zero) & -(4 << row))
+            for p, bits in placed:  # v's column reads its row, with whether the mask holds v at p
+                s = j - p
+                col = last >> s << s + 1 | last & ((1 << s) - 1)
+                zero = bits & avoid
+                alive &= ~(zero & -(2 << col) | (bits ^ zero) & -(2 << (col | 1 << s)))
+            return
+
+        following = codes[j + 1]
+        ties = []  # (p, bits, side, vertices): the placed parts that go on
+        reach = cand  # the vertices whose subtree some class enters
+        for p, bits in placed:  # a parent vertex's column j+1 has the mask's bit at p
+            s = j - p
+            live, above = _narrow(unplaced, prefix[:p], following >> s + 1)
+            if above:  # smaller, whatever the mask
+                alive &= ~bits
+                continue
+            # the masks of v that tie at p, bits & (avoids[v] ^ side), go on past p
+            side = -(following >> s & 1)
+            # the vertices that tie past p, and those whose tying side comes out smaller
+            rest, fell = _narrow(live, prefix[p:], following & ((1 << s) - 1))
+            # with a 1 at p, the masks that do not hold v come out smaller there
+            fall = live if side else fell
+            while fall:
+                low = fall & -fall
+                fall ^= low
+                alive &= ~(bits & (avoids[low.bit_length() - 1] | (side if low & fell else 0)))
+            if rest:
+                ties.append((p, bits, side, rest))
+                reach |= rest
+
         limit = limits[j + 1]
         shift = top - 1 - j  # the code bits past the longer prefix
         explored = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
+        while reach:
+            low = reach & -reach
+            reach ^= low
             v = low.bit_length() - 1
             keep = alive
             rest = twins[v] & explored
@@ -353,49 +397,50 @@ def _canonical_masks(
             explored |= low
             avoid = avoids[v]
             split = []
-            for row, bits in classes:  # each splits by whether its masks hold v
+            for row, bits in classes if low & cand else ():  # each splits by whether its masks hold v
                 bits &= keep
                 if not bits:
                     continue
                 row <<= 1  # the new vertex's row over the longer prefix
                 zero = bits & avoid
                 one = bits ^ zero
-                if not shift:  # the new vertex last: its column reads the row
-                    alive &= ~(zero & -(2 << row) | one & -(4 << row))
-                    continue
                 # the insertion bound, or a largest code the row may still undercut
                 if zero and (row <= limit or row <= (zero.bit_length() - 1) >> shift):
                     split.append((row, zero))
                 if one and (row | 1 <= limit or row | 1 <= (one.bit_length() - 1) >> shift):
                     split.append((row | 1, one))
-            if split:
-                order[j] = v
-                walk(j + 1, unplaced ^ low, split)
+            down = []
+            for p, bits, side, tying in ties:
+                if low & tying:
+                    bits &= keep & (avoid ^ side)
+                    if bits:
+                        down.append((p, bits))
+            if split or down:
+                walk([*prefix, parent[v]], unplaced ^ low, split, down)
 
-        tie &= alive
-        if not tie:
-            return
-        while explored:  # the new vertex, a twin of a tying parent vertex
-            low = explored & -explored
-            tie &= ~new_twins[low.bit_length() - 1]
-            explored ^= low
-        start = [*order[:j], top]
-        while tie:  # the new vertex at position j, for each mask on its own
-            low = tie & -tie
-            tie ^= low
-            best[top] = code = low.bit_length() - 1
-            mask = reverse[code]
-            children[mask] = child = children.get(mask) or _child(parent, mask)
-            if _min_columns(child, best, orderly=True, start=start) is None:
-                alive &= ~low
-
-    walk(0, (1 << top) - 1, [(0, alive)])
+    walk([], (1 << top) - 1, [(0, alive)], [])
     masks = []
     while alive:
         code = alive.bit_length() - 1
         alive ^= 1 << code
         masks.append(reverse[code])
-    return [children.get(mask) or _child(parent, mask) for mask in sorted(masks)]
+    return [_child(parent, mask) for mask in sorted(masks)]
+
+
+def _narrow(live: int, rows: Sequence[int], target: int) -> tuple[int, int]:
+    """The vertices of the bitset ``live`` whose row over the vertices with
+    the given ``rows``, the first row's bit highest, reads ``target``, and
+    those whose row comes out smaller than it."""
+    fell = 0
+    bit = 1 << len(rows)
+    for row in rows:
+        bit >>= 1
+        if target & bit:
+            fell |= live & ~row
+            live &= row
+        else:
+            live &= ~row
+    return live, fell
 
 
 def _insertion_limits(codes: Sequence[int]) -> list[int]:

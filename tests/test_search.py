@@ -168,24 +168,45 @@ def test_last_swap_prefilter_skips_only_rejected_extensions():
     assert skipped == masks - sum(ORDERLY_TESTS.values())
 
 
-@pytest.mark.parametrize("m", [7, 8])
+def test_generation_runs_no_per_mask_search(monkeypatch):
+    """The shared walk decides every mask itself: generation never calls
+    ``_min_columns``, which canonical labeling still uses."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("generation ran a per-mask search")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_min_columns", refuse)
+        graphs = list(generate_nonisomorphic(7))
+    assert len(graphs) == KNOWN_COUNTS[7]
+    rng = random.Random(71)
+    for g in graphs[::50]:
+        assert canonical_form(_relabel(g, _shuffled(7, rng))) == g
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
 def test_insertion_bound_keeps_every_verdict(m):
-    """The shared walk, with its insertion bound and its check of the new
-    vertex placed last, gives every mask of every parent of order m-1,
-    handed over as every code without the prefilter, the verdict of the
-    mask's own plain orderly test, and returns the accepted children by
-    increasing mask."""
+    """The shared walk, with its insertion bound, its placed classes and its
+    checks of the last vertex, gives every mask of every parent of order
+    m-1, handed over as every code without the prefilter, the verdict of
+    the mask's own plain orderly test, and returns the accepted children by
+    increasing mask.  At m = 9 the parents are a fixed sample of the
+    order-8 catalog: every 83rd graph, from the empty graph on, and the
+    complete graph."""
     top = m - 1
     reverse = search._subset_images(range(top - 1, -1, -1))
+    parents = _parents(m)
+    if m == 9:
+        parents = parents[::83] + [complete_graph(top).adj]
+        assert parents[0] == empty_graph(top).adj
     accepted = 0
-    for parent in _parents(m):
+    for parent in parents:
         codes = search._column_codes(parent, top)
         walked = search._canonical_masks(parent, codes, (1 << (1 << top)) - 1, reverse)
         plain = [adj for mask, adj in enumerate(_child(parent, mask) for mask in range(1 << top))
                  if search._min_columns(adj, codes + [reverse[mask]], orderly=True) is not None]
         assert walked == plain, (parent, [adj[-1] for adj in walked], [adj[-1] for adj in plain])
         accepted += len(plain)
-    assert accepted == {7: KNOWN_COUNTS[7], 8: 12346}[m]
+    assert accepted == {7: KNOWN_COUNTS[7], 8: 12346, 9: 2841}[m]
 
 
 def test_generation_matches_golden_hashes_to_order_8():
