@@ -30,10 +30,12 @@ class OrderTooSmall(FactorCritError):
 
 
 class LimitExceeded(FactorCritError):
-    """A strict enumeration was truncated before completing, or an
-    exponential search was refused before it started: a vertex-subset sweep
-    or memo of more than ``graph.SUBSET_BUDGET`` sets, ``tutte_violators`` above
-    ``VIOLATOR_MAX_ORDER``, or a subset table above ``TABLE_MAX_ORDER``."""
+    """A strict enumeration was truncated before completing, an exponential
+    search was refused before it started (a vertex-subset sweep or memo of
+    more than ``graph.SUBSET_BUDGET`` sets, ``tutte_violators`` above
+    ``VIOLATOR_MAX_ORDER``, or a subset table above ``TABLE_MAX_ORDER``), or
+    a canonical labeling search was cut off after
+    ``search.LABELING_NODE_BUDGET`` nodes."""
 
 
 class ParityMismatch(FactorCritError):

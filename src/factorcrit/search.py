@@ -9,24 +9,31 @@ once.  Feasible to order 9; larger catalogs are ingested from graph6 files.
 
 One depth-first branch and bound over labelings, ``_min_columns``, decides
 minimality and finds canonical forms.  It fills positions 0, 1, ... in turn,
-starting from the identity labeling as the best so far, and runs in two
-modes:
+starting from the identity labeling as the best so far.  At position j it
+narrows the candidates, one placed row at a time, to those that reach the
+smallest column j any of them can, and compares that code with the best
+column j.  A larger code cuts the subtree and an equal one goes down with
+the narrowed candidates.  A smaller code, or any code at a position that
+no best column bounds yet, is handled by the mode:
 
-- orderly: stop at the first column that comes out smaller than the
-  identity's, which proves the labeling is not minimal; generation decides
-  its masks in the shared walk below, and the tests check that walk
-  against this mode, one mask at a time;
-- canonical (``canonical_form``): when a column comes out smaller, replace
-  the best codes from that column on and keep searching.
+- orderly: return at once, which proves the labeling is not minimal;
+  generation decides its masks in the shared walk below, and the tests
+  check that walk against this mode, one mask at a time;
+- canonical (``canonical_form``): take the code as the best column j,
+  leaving the positions past j unbounded, and keep searching.
 
-The candidates for a position are a vertex bitset.  A candidate whose row
-agrees with that of a candidate already explored at the same depth, except
-on the two vertices themselves, is skipped: the two are twins, swapping them
-is an automorphism fixing every placed vertex, and both subtrees hold the
-same codes.  Twin pruning makes complete, empty and complete bipartite
-graphs cheap at any order; graphs whose automorphisms twin swaps do not
-generate, such as cycles and cocktail-party graphs, still cost exponential
-time.
+The candidates for a position are a vertex bitset.  A candidate that is a
+twin of one already explored at the same depth is skipped: the two rows
+agree except on the two vertices themselves, so swapping them is an
+automorphism fixing every placed vertex, and both subtrees hold the same
+codes.  ``_twins`` tabulates each vertex's twins once per graph, for this
+search and for the shared walk.  Twin pruning makes complete, empty and
+complete bipartite graphs cheap at any order; graphs whose automorphisms
+twin swaps do not generate, such as cycles, cocktail-party graphs and
+sparse graphs with many small components, still cost exponential time.  So
+the search raises ``LimitExceeded`` past ``LABELING_NODE_BUDGET`` nodes,
+about 1 s into C_18 and 10 s into the dense K_{2x31} of order 62 (one CPU,
+Python 3.11).
 
 Generation keeps no automorphism groups.  An extension of a parent P of
 order m-1 is a mask, the neighbours of the new vertex t = m-1; the child
@@ -96,6 +103,7 @@ from .errors import (
     FactorCritError,
     FileUnreadable,
     KOutOfRange,
+    LimitExceeded,
     MalformedEncoding,
     OrderTooLargeForGenerate,
     ParityMismatch,
@@ -124,6 +132,9 @@ from .verifiers import (
 )
 
 GENERATE_MAX_ORDER = 9
+# Search nodes that ``_min_columns`` may visit before it raises
+# ``LimitExceeded``: C_16 takes about 772000, K_{2x8} 219000.
+LABELING_NODE_BUDGET = 10**6
 
 DEDUP_AS_IS = "as-is"
 DEDUP_CANONICAL = "canonical"
@@ -166,72 +177,54 @@ def _min_columns(adj: Sequence[int], best: list[int], orderly: bool) -> list[int
     column on, and every later position takes the smallest code it can
     reach.
 
-    The candidates for position j are a vertex bitset, narrowed against each
-    placed vertex's row in turn while following the best column's bit for
-    that vertex.  Twins of a candidate already explored at the same depth
-    are skipped (see the module docstring).
+    One step serves both modes.  The candidates for position j are a vertex
+    bitset, narrowed against each placed vertex's row in turn to those whose
+    column j takes its smallest bit there, which leaves the smallest code
+    any candidate reaches.  That code cuts, descends or replaces the best
+    column j, as the module docstring says.  Twins of a candidate already
+    explored at the same depth are skipped, read off the ``_twins`` table
+    that the shared walk uses too.  Past ``LABELING_NODE_BUDGET`` search
+    nodes it raises ``LimitExceeded``.
 
     The program calls only the canonical mode, through ``canonical_form``.
     Generation decides its masks in the shared walk (``_canonical_masks``);
     the orderly mode is the per-mask oracle that the tests hold it to.
     """
     n = len(best)
+    twins = _twins(adj)
     placed = [0] * n  # row of the vertex at each filled position
     bounded = n  # positions below this one are bounded by ``best``
+    nodes = 0
 
     def dfs(j: int, unplaced: int) -> bool:
-        nonlocal bounded
+        nonlocal bounded, nodes
+        nodes += 1
+        if nodes > LABELING_NODE_BUDGET:
+            raise LimitExceeded(f"a labeling search of more than {LABELING_NODE_BUDGET} nodes")
         if j == n:
             return True
         cand = unplaced
-        if j:
-            free = j >= bounded
-            i = code = 0
-            if not free:
-                bound = best[j]
-                bit = 1 << (j - 1)
-                while bit:
-                    below = cand & ~placed[i]
-                    i += 1
-                    if bound & bit:
-                        if below:  # a smaller column j
-                            if orderly:
-                                return False
-                            free = True
-                            cand = below
-                            code = (bound ^ bit) >> (j - i)
-                            break
-                    elif below:
-                        cand = below
-                    else:  # every candidate's column j is larger
-                        return True
-                    bit >>= 1
-            if free:  # the rest of column j takes its smallest bits
-                for row in placed[i:j]:
-                    below = cand & ~row
-                    if below:
-                        cand = below
-                        code <<= 1
-                    else:
-                        code = (code << 1) | 1
-                best[j] = code
-                bounded = j + 1
+        code = 0  # the smallest column j that a candidate reaches
+        for row in placed[:j]:
+            below = cand & ~row  # the candidates with a 0 in this bit
+            code = code << 1 | (not below)
+            cand = below or cand
+        if j >= bounded or code < best[j]:
+            if orderly:
+                return False
+            best[j] = code
+            bounded = j + 1
+        elif code > best[j]:
+            return True
         explored = 0
         while cand:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            row = adj[v]
-            rest = explored
-            while rest:
-                other = rest & -rest
-                if not (row ^ adj[other.bit_length() - 1]) & ~(low | other):
-                    break
-                rest ^= other
-            if rest:  # a twin of an explored candidate
+            if twins[v] & explored:
                 continue
             explored |= low
-            placed[j] = row
+            placed[j] = adj[v]
             if not dfs(j + 1, unplaced ^ low):
                 return False
         return True
@@ -239,8 +232,24 @@ def _min_columns(adj: Sequence[int], best: list[int], orderly: bool) -> list[int
     return best if dfs(0, (1 << n) - 1) else None
 
 
+def _twins(rows: Sequence[int]) -> list[int]:
+    """Each vertex's twins, itself included: the vertices whose row agrees
+    with its own except on the two of them.  Non-adjacent twins have equal
+    rows and adjacent ones equal closed rows.  No row equals another
+    vertex's closed row, since that would put a vertex in its own row."""
+    classes: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        for key in (row, row | 1 << v):
+            classes[key] = classes.get(key, 0) | 1 << v
+    return [classes[row] | classes[row | 1 << v] for v, row in enumerate(rows)]
+
+
 def canonical_form(g: Graph) -> Graph:
-    """The isomorph of ``g`` with the lexicographically minimal encoding."""
+    """The isomorph of ``g`` with the lexicographically minimal encoding.
+
+    Raises ``LimitExceeded`` when the search passes
+    ``LABELING_NODE_BUDGET`` nodes, as on C_18, K_{2x9} or some sparse
+    graphs of order 14 and up; C_16 and K_{2x8} still pass."""
     codes = _min_columns(g.adj, _column_codes(g.adj, g.n), orderly=False)
     bits = 0
     for j in range(1, g.n):
@@ -322,8 +331,7 @@ def _canonical_masks(
     top = len(parent)
     limits = _insertion_limits(codes)
     avoids = subset_masks(top)[0][::-1]  # avoids[v]: the codes whose mask does not hold v
-    twins = [sum(1 << w for w, other in enumerate(parent) if not (row ^ other) & ~(1 << v | 1 << w))
-             for v, row in enumerate(parent)]  # each v's twins in the parent, v included
+    twins = _twins(parent)
 
     # ``prefix`` holds the rows of the parent vertices placed so far
     def walk(prefix: list[int], unplaced: int, classes: list[tuple[int, int]], placed: list[tuple[int, int]]) -> None:
@@ -601,7 +609,9 @@ def enumerate_catalog(
     offending lines are skipped and appended to ``bad``, when given, as
     (lineno, message); otherwise the first one in the file is fatal with
     its line number.  ``dedup='canonical'`` drops isomorphic duplicates on
-    ingest.  Either way the catalog keeps the rows of the
+    ingest, by ``canonical_form``; a line whose labeling search passes
+    ``LABELING_NODE_BUDGET`` nodes raises ``LimitExceeded``, and no catalog
+    is returned.  Either way the catalog keeps the rows of the
     graphs it was built from, and no ``Graph`` outlives its line.
     """
     if dedup not in (DEDUP_AS_IS, DEDUP_CANONICAL):

@@ -23,6 +23,7 @@ from factorcrit import (
     FileUnreadable,
     Graph,
     KOutOfRange,
+    LimitExceeded,
     MalformedEncoding,
     OrderTooLargeForGenerate,
     ParityMismatch,
@@ -40,8 +41,10 @@ from factorcrit import (
     generate_nonisomorphic,
     hunt_counterexamples,
     parse_graph6,
+    petersen_graph,
     survey,
     valid_k_values,
+    wheel_graph,
 )
 from factorcrit import search
 from goldens import GENERATION_GOLDEN
@@ -113,11 +116,7 @@ def test_generated_graphs_are_self_canonical(catalog):
 def test_generated_graphs_pairwise_nonisomorphic(catalog):
     graphs = catalog(5)
     for a, b in itertools.combinations(graphs, 2):
-        ha = nx.Graph(a.edges())
-        ha.add_nodes_from(range(a.n))
-        hb = nx.Graph(b.edges())
-        hb.add_nodes_from(range(b.n))
-        assert not nx.is_isomorphic(ha, hb)
+        assert not nx.is_isomorphic(_networkx(a), _networkx(b))
 
 
 def test_generate_order_gate():
@@ -286,9 +285,76 @@ def test_canonical_form_of_the_order_0_graph():
 
 
 def test_canonical_form_is_isomorphism_invariant():
-    w7 = cycle_graph(7)
-    relabeled = Graph.from_edges(7, [((u + 3) % 7, (v + 3) % 7) for u, v in w7.edges()])
-    assert canonical_graph6(w7) == canonical_graph6(relabeled)
+    g = wheel_graph(6)
+    relabeled = _relabel(g, _shuffled(g.n, random.Random(6)))
+    assert relabeled != g  # the relabeling moves the labeled graph
+    assert canonical_graph6(g) == canonical_graph6(relabeled)
+
+
+def _networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+def _above_bruteforce_orders() -> list[Graph]:
+    """Seeded G(n, 1/2) graphs at orders 9-14, C_12, Petersen and K_{2x6}."""
+    rng = random.Random(914)
+    graphs = [Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+              for n in range(9, 15) for _ in range(4)]
+    matching = Graph.from_edges(12, [(v, v + 1) for v in range(0, 12, 2)])
+    return graphs + [cycle_graph(12), petersen_graph(), _complement(matching)]
+
+
+def test_canonical_form_above_the_bruteforce_orders():
+    """Canonical mode where no brute force reaches: three relabelings of each
+    graph share one canonical form, which is its own canonical form and
+    isomorphic to the graph."""
+    rng = random.Random(15)
+    for g in _above_bruteforce_orders():
+        canon = canonical_form(g)
+        for _ in range(3):
+            assert canonical_form(_relabel(g, _shuffled(g.n, rng))) == canon, encode_graph6(g)
+        assert canonical_form(canon) == canon
+        assert nx.is_isomorphic(_networkx(canon), _networkx(g))
+
+
+def test_orderly_and_canonical_modes_agree_order_7():
+    """The orderly test accepts an order-7 child exactly when canonical mode
+    returns its own column codes."""
+    reverse = search._subset_images(range(5, -1, -1))
+    for parent in _parents(7):
+        codes = search._column_codes(parent, 6)
+        for mask in range(64):
+            adj = _child(parent, mask)
+            child = codes + [reverse[mask]]
+            orderly = search._min_columns(adj, child, orderly=True) is not None
+            assert orderly == (search._min_columns(adj, list(child), orderly=False) == child), (parent, mask)
+
+
+def test_labeling_search_budget():
+    """The canonical labeling search stops with ``LimitExceeded`` past
+    ``LABELING_NODE_BUDGET`` nodes (about 1 s on C_18), and K_{2x8}, at
+    219201 nodes, still passes."""
+    started = time.monotonic()
+    with pytest.raises(LimitExceeded, match="labeling search"):
+        canonical_form(cycle_graph(18))
+    assert time.monotonic() - started <= 10.0
+    k2x8 = _complement(Graph.from_edges(16, [(v, v + 1) for v in range(0, 16, 2)]))
+    assert canonical_form(_relabel(k2x8, _shuffled(16, random.Random(16)))) == k2x8
+
+
+def test_canonical_dedup_ingest_over_the_budget_returns_no_catalog(tmp_path: Path, monkeypatch):
+    """A canonical-dedup ingest whose labeling search passes the budget on
+    a later line raises, and hands back no partial catalog."""
+    path = tmp_path / "cycles.g6"
+    graphs = [complete_graph(12), cycle_graph(12), cycle_graph(12)]
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs), encoding="ascii")
+    assert len(enumerate_catalog(12, path=str(path), dedup="canonical")) == 2
+    monkeypatch.setattr(search, "LABELING_NODE_BUDGET", 1000)
+    with pytest.raises(LimitExceeded):
+        enumerate_catalog(12, path=str(path), dedup="canonical")
+    assert len(enumerate_catalog(12, path=str(path))) == 3  # as-is ingest runs no labeling search
 
 
 def test_catalog_ingest_roundtrip(tmp_path: Path, catalog):
