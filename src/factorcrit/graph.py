@@ -13,6 +13,7 @@ unvalidated ``Graph._trusted`` instead.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -90,6 +91,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "adj", tuple(self.adj))  # rows passed as a list are frozen too
         if not 0 <= self.n <= MAX_ORDER:
             raise UnsupportedOrder(f"order {self.n} outside 0..{MAX_ORDER}")
         if len(self.adj) != self.n:
@@ -193,9 +195,10 @@ class ComponentPartition:
         return [b.bit_count() for b in self.blocks]
 
     def block_of(self, v: int) -> int:
-        for b in self.blocks:
-            if b >> v & 1:
-                return b
+        if v >= 0:
+            for b in self.blocks:
+                if b >> v & 1:
+                    return b
         raise VertexOutOfRange(f"vertex {v} not covered by the partition")
 
     def to_json(self) -> list[list[int]]:
@@ -238,12 +241,10 @@ def non_neighborhood(g: Graph, v: int) -> int:
     return g.vertex_mask & ~(g.adj[v] | (1 << v))
 
 
-def degree_profile(g: Graph) -> dict[int, int]:
-    """Map from degree value to the number of vertices attaining it."""
-    profile: dict[int, int] = {}
-    for d in g.degrees():
-        profile[d] = profile.get(d, 0) + 1
-    return profile
+def degree_profile(g: Graph) -> Counter[int]:
+    """Map from degree value to the number of vertices attaining it, in the
+    order of each value's first vertex."""
+    return Counter(g.degrees())
 
 
 def _rows_outside(adj: Sequence[int], cut: int) -> tuple[int, ...]:
@@ -269,7 +270,9 @@ def delete_vertices(g: Graph, vertices: int | Iterable[int]) -> tuple[Graph, dic
     deletion.  The rows come from ``_rows_outside``, the routine that also
     builds the survey's residuals G - e - S.
     """
-    smask = vertices if isinstance(vertices, int) else mask_from(vertices)
+    # a negative vertex is read as n, outside the graph, so the check below
+    # refuses it; the vertices are read once, so an iterator may be passed
+    smask = vertices if isinstance(vertices, int) else mask_from(v if v >= 0 else g.n for v in vertices)
     if smask & ~g.vertex_mask:
         raise VertexOutOfRange("deletion set contains vertices outside the graph")
     rows = _rows_outside(g.adj, smask)

@@ -95,6 +95,7 @@ from __future__ import annotations
 import json
 import os
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -151,6 +152,9 @@ _SHORT_LINE = '{"graph6": "%s", "kfc": %s, "minimal": false}\n'
 # written as one text: _GATED_HEAD + _GATED_SEP.join(lines) + _GATED_TAIL.
 _GATED_HEAD, _GATED_TAIL = (_SHORT_LINE % ("%s", "false")).split("%s")
 _GATED_SEP = _GATED_TAIL + _GATED_HEAD
+# The record's config field behind each SurveyReport.predicate_counts key
+# whose name differs.
+_PREDICATE_FIELDS = {"passed": "pred_passed", "failed": "pred_failed"}
 
 
 def _column_codes(adj: Sequence[int], n: int) -> list[int]:
@@ -644,7 +648,13 @@ def valid_k_values(n: int) -> list[int]:
 
 @dataclass
 class SurveyReport:
-    """Aggregate of a criticality/minimality sweep of one catalog at one k."""
+    """Aggregate of a criticality/minimality sweep of one catalog at one k.
+
+    The tallies are ``collections.Counter`` objects: the minimum degrees,
+    the degree profiles and the residual configuration labels of the
+    minimal graphs, and, per statement, an ``applicable``/``passed``/
+    ``failed`` count.  A Counter is a dict, so ``to_json`` writes them as
+    plain objects."""
 
     n: int
     k: int
@@ -652,10 +662,10 @@ class SurveyReport:
     total: int = 0
     kfc_count: int = 0
     minimal_count: int = 0
-    min_degree_distribution: dict[int, int] = field(default_factory=dict)
-    degree_profiles: dict[str, int] = field(default_factory=dict)
-    verdict_tallies: dict[str, dict[str, int]] = field(default_factory=dict)
-    config_label_counts: dict[str, int] = field(default_factory=dict)
+    min_degree_distribution: Counter[int] = field(default_factory=Counter)
+    degree_profiles: Counter[str] = field(default_factory=Counter)
+    verdict_tallies: dict[str, Counter[str]] = field(default_factory=dict)
+    config_label_counts: Counter[str] = field(default_factory=Counter)
     ambiguous_count: int = 0
     predicate_counts: dict[str, int] = field(default_factory=lambda: {"passed": 0, "failed": 0, "vacuous_edges": 0, "skipped_edges": 0})
     counterexamples: list[tuple[str, str]] = field(default_factory=list)
@@ -681,10 +691,6 @@ class SurveyReport:
         }
 
 
-def _profile_key(profile: dict[int, int]) -> str:
-    return ",".join(f"{d}:{c}" for d, c in sorted(profile.items()))
-
-
 def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
     """Everything the aggregator needs about one catalog graph, ``adj``
     being the rows of the graph that ``line`` encodes.  A graph that is
@@ -697,24 +703,19 @@ def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
         if not record["minimal"]:
             return record
         record["min_degree"] = g.min_degree()
-        record["degree_profile"] = _profile_key(degree_profile(g))
-        verdicts = []
-        failures: list[str] = []
-        for verdict in minimal_verdicts(g, k, verified=True):
-            verdicts.append({"theorem": verdict.theorem, "applicable": verdict.applicable, "pass": verdict.passed})
-            if verdict.failed:
-                failures.append(verdict.theorem)
-        record["verdicts"] = verdicts
+        record["degree_profile"] = ",".join(f"{d}:{c}" for d, c in sorted(degree_profile(g).items()))
+        verdicts = minimal_verdicts(g, k, verified=True)
+        record["verdicts"] = [{"theorem": v.theorem, "applicable": v.applicable, "pass": v.passed} for v in verdicts]
+        failures = [v.theorem for v in verdicts if v.failed]
         if g.n - k in FAMILY_ORDER.values():
-            config: dict = {"labels": {}, "ambiguous": 0, "pred_passed": 0, "pred_failed": 0, "vacuous_edges": 0, "skipped_edges": 0}
+            config: dict = {"labels": Counter(), "ambiguous": 0, "pred_passed": 0, "pred_failed": 0, "vacuous_edges": 0, "skipped_edges": 0}
             for e, entry in certify_minimal_edges(g, k).items():
                 if entry.match is None:
                     config["skipped_edges"] += 1
                     continue
                 label = entry.match.label
-                config["labels"][label] = config["labels"].get(label, 0) + 1
-                if entry.match.ambiguity_flag:
-                    config["ambiguous"] += 1
+                config["labels"][label] += 1
+                config["ambiguous"] += entry.match.ambiguity_flag
                 if label == UNCLASSIFIED:
                     failures.append(CONFIG_COMPLETENESS)
                     continue
@@ -945,36 +946,28 @@ def _fold_record(
     if "error" in record:
         report.errors.append((line, record["error"]))
         return
-    if record["kfc"]:
-        report.kfc_count += 1
+    report.kfc_count += record["kfc"]
     if not record["minimal"]:
         return
     report.minimal_count += 1
     if on_minimal is not None:
         on_minimal(line)
-    delta = record["min_degree"]
-    report.min_degree_distribution[delta] = report.min_degree_distribution.get(delta, 0) + 1
-    key = record["degree_profile"]
-    report.degree_profiles[key] = report.degree_profiles.get(key, 0) + 1
+    report.min_degree_distribution[record["min_degree"]] += 1
+    report.degree_profiles[record["degree_profile"]] += 1
     for verdict in record["verdicts"]:
         tally = report.verdict_tallies.setdefault(
-            verdict["theorem"], {"applicable": 0, "passed": 0, "failed": 0}
+            verdict["theorem"], Counter(applicable=0, passed=0, failed=0)
         )
         if verdict["applicable"]:
             tally["applicable"] += 1
-            if verdict["pass"]:
-                tally["passed"] += 1
-            elif verdict["pass"] is False:
-                tally["failed"] += 1
+            # TheoremVerdict.passed is a bool whenever the verdict applies
+            tally["passed" if verdict["pass"] else "failed"] += 1
     config = record.get("config")
     if config is not None:
-        for label, count in config["labels"].items():
-            report.config_label_counts[label] = report.config_label_counts.get(label, 0) + count
+        report.config_label_counts.update(config["labels"])
         report.ambiguous_count += config["ambiguous"]
-        report.predicate_counts["passed"] += config["pred_passed"]
-        report.predicate_counts["failed"] += config["pred_failed"]
-        report.predicate_counts["vacuous_edges"] += config["vacuous_edges"]
-        report.predicate_counts["skipped_edges"] += config["skipped_edges"]
+        for key in report.predicate_counts:
+            report.predicate_counts[key] += config[_PREDICATE_FIELDS.get(key, key)]
     for theorem in record.get("failures", ()):
         report.counterexamples.append((line, theorem))
         if raise_on_violation and STATEMENTS[theorem] == "proven":

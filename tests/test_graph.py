@@ -177,6 +177,27 @@ def test_delete_vertices_relabels_and_maps():
         delete_vertices(g, {7})
 
 
+def test_delete_vertices_refuses_negative_vertices_and_reads_iterators_once():
+    g = cycle_graph(6)
+    with pytest.raises(VertexOutOfRange):
+        delete_vertices(g, [-1])
+    with pytest.raises(VertexOutOfRange):
+        delete_vertices(g, iter([2, -3]))
+    with pytest.raises(VertexOutOfRange):
+        delete_vertices(g, iter([2, 6]))
+    h, index_map = delete_vertices(g, (v for v in (0, 2)))
+    assert (h, index_map) == delete_vertices(g, {0, 2})
+
+
+def test_graph_freezes_list_rows():
+    """Rows passed as a list are stored as a tuple, so the graph equals and
+    hashes as the tuple-built one and its rows cannot change in place."""
+    g = Graph(3, [2, 5, 2])
+    assert isinstance(g.adj, tuple)
+    assert g == Graph(3, (2, 5, 2))
+    assert hash(g) == hash(Graph(3, (2, 5, 2)))
+
+
 def test_edge_toggles():
     assert remove_edge(complete_graph(3), 0, 1) == Graph.from_edges(3, [(0, 2), (1, 2)])
     p3 = path_graph(3)
@@ -305,3 +326,5 @@ def test_component_partition_block_of():
     assert part.block_of(2) == 0b1100
     with pytest.raises(VertexOutOfRange):
         part.block_of(9)
+    with pytest.raises(VertexOutOfRange):
+        components(cycle_graph(4)).block_of(-1)

@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorcrit import (
     Catalog,
@@ -342,6 +344,27 @@ def test_labeling_search_budget():
     assert time.monotonic() - started <= 10.0
     k2x8 = _complement(Graph.from_edges(16, [(v, v + 1) for v in range(0, 16, 2)]))
     assert canonical_form(_relabel(k2x8, _shuffled(16, random.Random(16)))) == k2x8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(20, 62), st.sampled_from([0.15, 0.5, 0.85]), st.integers(0, 2**32 - 1))
+def test_canonical_form_is_invariant_at_large_orders(n, p, seed):
+    """A seeded G(n, p) graph of order 20-62 and a seeded relabeling of it
+    get one canonical form, or the search raises ``LimitExceeded``, here
+    past a budget of 20000 nodes.  The budget is set in the body: a
+    function-scoped fixture would be shared across the examples."""
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+    relabeled = _relabel(g, _shuffled(n, rng))
+    budget, search.LABELING_NODE_BUDGET = search.LABELING_NODE_BUDGET, 20000
+    try:
+        canon = canonical_form(g)
+        assert canonical_form(relabeled) == canon, encode_graph6(g)
+        assert sorted(canon.degrees()) == sorted(g.degrees())
+    except LimitExceeded:
+        pass
+    finally:
+        search.LABELING_NODE_BUDGET = budget
 
 
 def test_canonical_dedup_ingest_over_the_budget_returns_no_catalog(tmp_path: Path, monkeypatch):
