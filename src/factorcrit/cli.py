@@ -6,12 +6,14 @@ from the positional argument, ``--file`` or stdin, through the same graph6
 line reader that catalog ingestion uses, so a bad line is reported as
 ``FILE:LINE`` or ``stdin:LINE``.  It then calls the command's step on each
 graph; a step appends that graph's JSON results and text lines and returns
-whether the queried property held.  Nothing is printed until every graph
-has been processed, so an error exits without partial output.
+its exit code, and the command exits with the highest.  Nothing is printed
+until every graph has been processed, so an error exits without partial
+output.
 
 Exit codes: 0 when the queried property holds (or a sweep is clean), 1 when
-it fails or a counterexample surfaced, 2 on usage or parse errors and on
-files that cannot be opened, 3 when an expected-true check was violated.
+it fails or a counterexample of an open statement surfaced, 2 on usage or
+parse errors and on files that cannot be opened, 3 when a statement that
+``verifiers.STATEMENTS`` marks proven failed.
 When the reader of stdout goes away, the process ends by SIGPIPE.
 Text output is human-oriented and not a stable interface; pass --json for
 the versioned machine format.
@@ -41,15 +43,8 @@ from .criticality import (
     iter_minimality_witnesses,
 )
 from .oracles import kfc_via_tutte
-from .configurations import (
-    FAMILIES,
-    ResidualInstance,
-    UNCLASSIFIED,
-    certify_minimal_edges,
-    classify_residual,
-    config_predicates,
-)
-from .verifiers import check_n4_characterization, minimal_verdicts
+from .configurations import FAMILIES, ResidualInstance, UNCLASSIFIED, classify_residual
+from .verifiers import STATEMENTS, check_n4_characterization, edge_verdicts, minimal_verdicts
 from .search import (
     SCHEMA,
     _check_generate_order,
@@ -105,28 +100,33 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str], ok
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _failed_code(theorem: str) -> int:
+    """The exit code of a failed statement: 3 for a proven one, 1 for an open one."""
+    return EXIT_VIOLATION if STATEMENTS[theorem] == "proven" else EXIT_FAIL
+
+
 def _per_graph(args: argparse.Namespace) -> int:
     """Run the command's step on every input graph, then report them all.
 
-    A step appends its JSON results and text lines and returns whether the
-    queried property held; any failure exits with the command's fail code."""
+    A step appends its JSON results and text lines and returns its exit
+    code; the command exits with the highest."""
     results: list[dict] = []
     lines: list[str] = []
-    ok = True
+    code = EXIT_OK
     for label, g in _input_graphs(args):
-        ok = args.step(args, label, g, results, lines) and ok
+        code = max(code, args.step(args, label, g, results, lines))
     _emit(args, {"command": args.command, "results": results}, lines)
-    return EXIT_OK if ok else args.fail_code
+    return code
 
 
-def _pm(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+def _pm(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> int:
     matching = maximum_matching(g)
     results.append({"graph6": encode_graph6(g), "perfect_matching": matching.is_perfect,
                     "matching": [list(e) for e in matching.edges]})
     lines.append(f"{label}: perfect matching: {'yes' if matching.is_perfect else 'no'} "
                  f"(maximum matching size {len(matching.edges)})")
     if matching.is_perfect:
-        return True
+        return EXIT_OK
     if g.n > VIOLATOR_MAX_ORDER:  # the polynomial barrier, not a smallest set
         key, name = "gallai_edmonds_barrier", "Gallai-Edmonds barrier"
         cert = TutteCertificate.build(g, gallai_edmonds_barrier(g))
@@ -135,68 +135,70 @@ def _pm(args: argparse.Namespace, label: str, g: Graph, results: list, lines: li
         (cert,) = tutte_violators(g, "first-minimal")
     results[-1][key] = cert.to_json()
     lines.append(f"  {name} X={bits_list(cert.x_set)} odd components {cert.partition.odd_count}")
-    return False
+    return EXIT_FAIL
 
 
-def _kfc(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+def _kfc(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> int:
     report = (kfc_via_tutte if args.method == "tutte" else is_k_factor_critical)(g, args.k)
     results.append({"graph6": encode_graph6(g), **report.to_json()})
     state = "yes" if report.verdict else f"no, failing set {bits_list(report.failing_set)}"
     lines.append(f"{label}: {args.k}-factor-critical: {state}")
-    return report.verdict
+    return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-def _minimal(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+def _minimal(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> int:
     minimal = is_minimally_kfc(g, args.k)
     results.append({"graph6": encode_graph6(g), "k": args.k, "minimal": minimal})
     lines.append(f"{label}: minimally {args.k}-factor-critical: {'yes' if minimal else 'no'}")
-    return minimal
+    return EXIT_OK if minimal else EXIT_FAIL
 
 
-def _witness(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+def _witness(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> int:
     item = {"graph6": encode_graph6(g), "edge": list(args.edge)}
     if args.all:
         witnesses = list(iter_minimality_witnesses(g, args.k, args.edge))
         results.append({**item, "witnesses": [bits_list(w) for w in witnesses]})
         lines.append(f"{label}: {len(witnesses)} witness sets for edge {args.edge}")
-        return bool(witnesses)
+        return EXIT_OK if witnesses else EXIT_FAIL
     witness = minimality_witness(g, args.k, args.edge)
     results.append({**item, "witness": None if witness is None else bits_list(witness)})
     lines.append(f"{label}: witness for edge {args.edge}: "
                  + ("none (edge removable)" if witness is None else str(bits_list(witness))))
-    return witness is not None
+    return EXIT_FAIL if witness is None else EXIT_OK
 
 
-def _classify(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+def _classify(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> int:
     match = classify_residual(ResidualInstance(g, *args.edge, args.family))
     results.append({"graph6": encode_graph6(g), **match.to_json()})
     lines.append(f"{label}: configuration {match.label}"
                  + (" (ambiguous)" if match.ambiguity_flag else ""))
-    return match.label != UNCLASSIFIED
+    return EXIT_FAIL if match.label == UNCLASSIFIED else EXIT_OK
 
 
-def _predicates(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
-    certs = certify_minimal_edges(g, args.k)
-    ok = True
-    for e in [tuple(sorted(args.edge))] if args.edge else sorted(certs):
-        if e not in certs:
+def _predicates(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> int:
+    edges = {e: rest for e, *rest in edge_verdicts(g, args.k)}
+    code = EXIT_OK
+    for e in [tuple(sorted(args.edge))] if args.edge else sorted(edges):
+        if e not in edges:
             raise EdgeAbsent(f"edge {e} not in graph")
-        entry = certs[e]
+        entry, report, failed = edges[e]
         item = {"graph6": encode_graph6(g), "edge": list(e), **entry.to_json()}
-        if entry.match is not None:
-            report = config_predicates(g, e, entry.witness, entry.match)
+        if report is not None:
             item["predicates"] = report.to_json()
             status = "vacuous" if not report.hypothesis_met else (
                 "pass" if report.all_passed else "FAIL")
             lines.append(f"{label}: edge {e}: {entry.match.label} predicates {status}")
-            ok = ok and (not report.hypothesis_met or report.all_passed)
+        elif failed is not None:
+            lines.append(f"{label}: edge {e}: {entry.match.label} fails {failed}")
         else:
             lines.append(f"{label}: edge {e}: no classification ({entry.note})")
+        if failed is not None:
+            code = max(code, _failed_code(failed))
         results.append(item)
-    return ok
+    return code
 
 
-def _verify(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> bool:
+def _verify(args: argparse.Namespace, label: str, g: Graph, results: list, lines: list) -> int:
     verdicts = []
     if g.n >= 6:
         verdicts.append(check_n4_characterization(g))
@@ -213,7 +215,7 @@ def _verify(args: argparse.Namespace, label: str, g: Graph, results: list, lines
         results.append(verdict.to_json(graph6=encode_graph6(g)))
         state = "n/a" if not verdict.applicable else ("pass" if verdict.passed else "FAIL")
         lines.append(f"{label}: {verdict.theorem}: {state}")
-    return not any(verdict.failed for verdict in verdicts)
+    return max((_failed_code(v.theorem) for v in verdicts if v.failed), default=EXIT_OK)
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if needs_k:
             p.add_argument("--k", type=int, required=True, help="criticality parameter")
-        p.set_defaults(func=_per_graph, step=step, fail_code=EXIT_FAIL)
+        p.set_defaults(func=_per_graph, step=step)
 
     p = sub.add_parser("pm", help="perfect-matching decision; without one, a smallest "
                        f"deficiency witness up to order {VIOLATOR_MAX_ORDER}, "
@@ -324,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the applicable statement checkers")
     add_input(p, _verify)
     p.add_argument("--k", type=int, default=None, help="criticality parameter")
-    p.set_defaults(fail_code=EXIT_VIOLATION)
 
     p = sub.add_parser("survey", help="criticality/minimality sweep over a catalog")
     p.add_argument("--gen", type=int, default=None, metavar="N",

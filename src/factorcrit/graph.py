@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import (
     EdgeAbsent,
     EdgePresent,
+    KOutOfRange,
     LimitExceeded,
     MalformedEncoding,
     OrderTooSmall,
@@ -71,8 +72,10 @@ def k_sets(pool: int, k: int) -> Iterator[int]:
     lexicographic order of their ascending vertex lists, the order of
     ``itertools.combinations``: the first failing set a sweep reports is
     the lexicographically first.  No set when k exceeds the pool's size, one
-    empty set when k is 0.  Raises ``LimitExceeded`` at once when there are more
-    than ``SUBSET_BUDGET`` of them."""
+    empty set when k is 0.  Raises ``KOutOfRange`` at once for a negative k,
+    and ``LimitExceeded`` when there are more than ``SUBSET_BUDGET`` sets."""
+    if k < 0:
+        raise KOutOfRange(f"subset size {k} is negative")
     check_subset_budget(comb(pool.bit_count(), k))
     return map(sum, combinations([1 << v for v in iter_bits(pool)], k))
 

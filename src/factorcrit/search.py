@@ -7,20 +7,17 @@ so extending each canonical graph of order m-1 by one vertex and keeping the
 canonical extensions enumerates every isomorphism class of order m exactly
 once.  Feasible to order 9; larger catalogs are ingested from graph6 files.
 
-One depth-first branch and bound over labelings, ``_min_columns``, decides
-minimality and finds canonical forms.  It fills positions 0, 1, ... in turn,
-starting from the identity labeling as the best so far.  At position j it
-narrows the candidates, one placed row at a time, to those that reach the
-smallest column j any of them can, and compares that code with the best
-column j.  A larger code cuts the subtree and an equal one goes down with
-the narrowed candidates.  A smaller code, or any code at a position that
-no best column bounds yet, is handled by the mode:
-
-- orderly: return at once, which proves the labeling is not minimal;
-  generation decides its masks in the shared walk below, and the tests
-  check that walk against this mode, one mask at a time;
-- canonical (``canonical_form``): take the code as the best column j,
-  leaving the positions past j unbounded, and keep searching.
+One depth-first branch and bound over labelings, ``_min_columns``, finds
+canonical forms (``canonical_form``).  It fills positions 0, 1, ...
+in turn, starting from the identity labeling as the best so far.  At
+position j it narrows the candidates, one placed row at a time, to those
+that reach the smallest column j any of them can, and compares that code
+with the best column j.  A larger code cuts the subtree and an equal one
+goes down with the narrowed candidates.  A smaller code, or any code at a
+position that no best column bounds yet, becomes the best column j, leaving
+the positions past j unbounded, and the search goes on.  Generation makes
+no such search: the shared walk below decides its masks, and the tests
+check that walk against the recorded catalogs.
 
 The candidates for a position are a vertex bitset.  A candidate that is a
 twin of one already explored at the same depth is skipped: the two rows
@@ -118,19 +115,8 @@ from .matching import subset_masks
 # Also a module attribute here: the perfbench harness reads and traces the
 # k-factor-critical test as factorcrit.search.is_k_factor_critical.
 from .criticality import is_k_factor_critical  # noqa: F401
-from .configurations import (
-    FAMILY_ORDER,
-    UNCLASSIFIED,
-    certify_minimal_edges,
-    config_predicates,
-)
-from .verifiers import (
-    CONFIG_COMPLETENESS,
-    CONFIG_PREDICATES,
-    STATEMENTS,
-    check_conjecture,
-    minimal_verdicts,
-)
+from .configurations import FAMILY_ORDER
+from .verifiers import STATEMENTS, check_conjecture, edge_verdicts, minimal_verdicts
 
 GENERATE_MAX_ORDER = 9
 # Search nodes that ``_min_columns`` may visit before it raises
@@ -170,43 +156,37 @@ def _column_codes(adj: Sequence[int], n: int) -> list[int]:
     return codes
 
 
-def _min_columns(adj: Sequence[int], best: list[int], orderly: bool) -> list[int] | None:
+def _min_columns(adj: Sequence[int]) -> list[int]:
     """Column codes of the lexicographically minimal relabeling of ``adj``.
 
-    ``best`` holds the identity's column codes (``_column_codes``), which
-    one depth-first branch and bound over labelings starts from as the best
-    so far.  With ``orderly`` it returns None at the first column that comes
-    out smaller, and otherwise ``best`` unchanged: the orderly test.
-    Without ``orderly``, a smaller column replaces the best codes from that
-    column on, and every later position takes the smallest code it can
-    reach.
+    One depth-first branch and bound over labelings starts from the
+    identity's column codes (``_column_codes``) as the best so far.  A
+    smaller column replaces the best codes from that column on, and every
+    later position takes the smallest code it can reach.
 
-    One step serves both modes.  The candidates for position j are a vertex
-    bitset, narrowed against each placed vertex's row in turn to those whose
-    column j takes its smallest bit there, which leaves the smallest code
-    any candidate reaches.  That code cuts, descends or replaces the best
-    column j, as the module docstring says.  Twins of a candidate already
-    explored at the same depth are skipped, read off the ``_twins`` table
-    that the shared walk uses too.  Past ``LABELING_NODE_BUDGET`` search
-    nodes it raises ``LimitExceeded``.
-
-    The program calls only the canonical mode, through ``canonical_form``.
-    Generation decides its masks in the shared walk (``_canonical_masks``);
-    the orderly mode is the per-mask oracle that the tests hold it to.
+    The candidates for position j are a vertex bitset, narrowed against each
+    placed vertex's row in turn to those whose column j takes its smallest
+    bit there, which leaves the smallest code any candidate reaches.  That
+    code cuts, descends or replaces the best column j, as the module
+    docstring says.  Twins of a candidate already explored at the same depth
+    are skipped, read off the ``_twins`` table that the shared walk uses
+    too.  Past ``LABELING_NODE_BUDGET`` search nodes it raises
+    ``LimitExceeded``.
     """
-    n = len(best)
+    n = len(adj)
+    best = _column_codes(adj, n)
     twins = _twins(adj)
     placed = [0] * n  # row of the vertex at each filled position
     bounded = n  # positions below this one are bounded by ``best``
     nodes = 0
 
-    def dfs(j: int, unplaced: int) -> bool:
+    def dfs(j: int, unplaced: int) -> None:
         nonlocal bounded, nodes
         nodes += 1
         if nodes > LABELING_NODE_BUDGET:
             raise LimitExceeded(f"a labeling search of more than {LABELING_NODE_BUDGET} nodes")
         if j == n:
-            return True
+            return
         cand = unplaced
         code = 0  # the smallest column j that a candidate reaches
         for row in placed[:j]:
@@ -214,12 +194,10 @@ def _min_columns(adj: Sequence[int], best: list[int], orderly: bool) -> list[int
             code = code << 1 | (not below)
             cand = below or cand
         if j >= bounded or code < best[j]:
-            if orderly:
-                return False
             best[j] = code
             bounded = j + 1
         elif code > best[j]:
-            return True
+            return
         explored = 0
         while cand:
             low = cand & -cand
@@ -229,11 +207,10 @@ def _min_columns(adj: Sequence[int], best: list[int], orderly: bool) -> list[int
                 continue
             explored |= low
             placed[j] = adj[v]
-            if not dfs(j + 1, unplaced ^ low):
-                return False
-        return True
+            dfs(j + 1, unplaced ^ low)
 
-    return best if dfs(0, (1 << n) - 1) else None
+    dfs(0, (1 << n) - 1)
+    return best
 
 
 def _twins(rows: Sequence[int]) -> list[int]:
@@ -254,7 +231,7 @@ def canonical_form(g: Graph) -> Graph:
     Raises ``LimitExceeded`` when the search passes
     ``LABELING_NODE_BUDGET`` nodes, as on C_18, K_{2x9} or some sparse
     graphs of order 14 and up; C_16 and K_{2x8} still pass."""
-    codes = _min_columns(g.adj, _column_codes(g.adj, g.n), orderly=False)
+    codes = _min_columns(g.adj)
     bits = 0
     for j in range(1, g.n):
         bits = bits << j | codes[j]
@@ -709,25 +686,22 @@ def _survey_record(line: str, adj: tuple[int, ...], k: int) -> dict:
         failures = [v.theorem for v in verdicts if v.failed]
         if g.n - k in FAMILY_ORDER.values():
             config: dict = {"labels": Counter(), "ambiguous": 0, "pred_passed": 0, "pred_failed": 0, "vacuous_edges": 0, "skipped_edges": 0}
-            for e, entry in certify_minimal_edges(g, k).items():
+            for _e, entry, report, failed in edge_verdicts(g, k):
+                if failed is not None:
+                    failures.append(failed)
                 if entry.match is None:
                     config["skipped_edges"] += 1
                     continue
-                label = entry.match.label
-                config["labels"][label] += 1
+                config["labels"][entry.match.label] += 1
                 config["ambiguous"] += entry.match.ambiguity_flag
-                if label == UNCLASSIFIED:
-                    failures.append(CONFIG_COMPLETENESS)
+                if report is None:  # Unclassified: no label to check
                     continue
-                report = config_predicates(g, e, entry.witness, entry.match)
                 if not report.hypothesis_met:
                     config["vacuous_edges"] += 1
                     continue
-                failed = sum(not c.passed for c in report.checks)
-                config["pred_passed"] += len(report.checks) - failed
-                config["pred_failed"] += failed
-                if failed:
-                    failures.append(CONFIG_PREDICATES)
+                wrong = sum(not c.passed for c in report.checks)
+                config["pred_passed"] += len(report.checks) - wrong
+                config["pred_failed"] += wrong
             record["config"] = config
         record["failures"] = failures
     except FactorCritError as exc:
@@ -762,7 +736,8 @@ def survey(
     ``jobs``.  ``jsonl_path`` streams one JSON line per graph so long sweeps
     can resume by passing the line count as ``skip`` (the report then covers
     the remainder only); ``skip`` outside 0..len(catalog) raises
-    ``PreconditionUnmet`` before any file is opened.  A resumed file must hold exactly ``skip`` complete
+    ``PreconditionUnmet`` before any file is opened, and so does ``jobs``
+    below 1.  A resumed file must hold exactly ``skip`` complete
     records, for the first ``skip`` catalog graphs in order, or
     ``ResumeMismatch`` is raised; a torn last line left by a crash is cut
     off first.  ``on_minimal`` receives the graph6 line of each minimally
@@ -785,6 +760,8 @@ def survey(
     _check_survey_k(n, k)
     if not 0 <= skip <= len(catalog):
         raise PreconditionUnmet(f"skip={skip} outside 0..{len(catalog)}")
+    if jobs < 1:
+        raise PreconditionUnmet(f"jobs={jobs} must be at least 1")
     report = SurveyReport(n=n, k=k, source=catalog.source)
     catalog._rows  # decode now, before the pool forks or the file is touched
     catalog._min_degrees  # and derive the column, which the workers inherit
@@ -985,7 +962,8 @@ def hunt_counterexamples(
     statement, as (graph6, statement id) pairs.
 
     ``k_rule`` is either "all-valid" or an int offset c, not a bool,
-    meaning k = n - c; any other value raises ``PreconditionUnmet``.
+    meaning k = n - c; any other value raises ``PreconditionUnmet``, and so
+    does ``jobs`` below 1.
     Orders with a supplied file are ingested, the rest generated; an order
     that the rule gives no valid k is not surveyed.  A file for an order
     that is not surveyed, outside ``orders`` or without a valid k, raises
@@ -1009,6 +987,8 @@ def hunt_counterexamples(
         rule = "all valid k"
     else:
         raise PreconditionUnmet(f"k_rule must be 'all-valid' or an int offset, not {k_rule!r}")
+    if jobs < 1:
+        raise PreconditionUnmet(f"jobs={jobs} must be at least 1")
     stray = sorted(set(files) - {n for n, ks in sweeps if ks})
     if stray:
         raise PreconditionUnmet(f"catalog files given for orders {stray}, which are not surveyed")

@@ -2,10 +2,17 @@
 
 Each checker returns a TheoremVerdict carrying the stable report identifier
 of the statement it evaluates, whether the statement applies to the input at
-all (most carry order gates), and a checkable witness on failure.  Checkers
-for statements that are proven on their whole domain are expected-true: a
-failing verdict on such a domain means an implementation bug or a genuine
-counterexample, and sweeps escalate it as TheoremViolated.
+all (most carry order gates), and a checkable witness on failure; every
+applicable verdict is built by ``TheoremVerdict.checked``.  ``STATEMENTS``
+marks each id proven or open.  A proven statement is expected-true: its
+failure means an implementation bug or a genuine counterexample, so sweeps
+escalate it as TheoremViolated and the CLI exits 3 on it, against 1 for an
+open one.
+
+``edge_verdicts`` decides, for each edge of a minimal graph, which
+configuration statement its residual fails, if any: an Unclassified residual
+fails config-completeness and a failed predicate check config-predicates.
+Surveys and the CLI's ``predicates`` command both read it.
 
 The degree-class statements (C2.7, T5.3-T5.5) read a class, the vertices of
 one degree, through ``_of_degree``.  C2.7, T5.3 and T5.4 test it with
@@ -16,10 +23,12 @@ for a 3-edge path inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NotCritical, NotMinimallyCritical, OrderTooSmall, PreconditionUnmet
 from .graph import Graph, degree_profile, is_claw_free, is_independent, iter_bits, mask_from
 from .criticality import is_k_factor_critical, is_minimally_kfc
+from .configurations import UNCLASSIFIED, EdgeClassification, PredicateReport, certify_minimal_edges, config_predicates
 
 DEGREE_BOUND = "T1.1"
 MIN_DEGREE_PROVEN = "C1.2"
@@ -58,6 +67,12 @@ class TheoremVerdict:
     passed: bool | None
     witness: dict | None = None
 
+    @classmethod
+    def checked(cls, theorem: str, passed: bool, witness: dict) -> TheoremVerdict:
+        """An applicable verdict on ``theorem``; it keeps ``witness`` only
+        when the check failed."""
+        return cls(theorem, True, passed, None if passed else witness)
+
     @property
     def failed(self) -> bool:
         return self.applicable and self.passed is False
@@ -89,8 +104,7 @@ def check_degree_bounds(g: Graph, k: int, verified: bool = False) -> TheoremVerd
     delta = g.min_degree()
     bound = (n + k) // 2 - (2 if n >= k + 6 else 1)
     passed = delta <= bound
-    witness = None if passed else {"min_degree": delta, "bound": bound}
-    return TheoremVerdict(DEGREE_BOUND, True, passed, witness)
+    return TheoremVerdict.checked(DEGREE_BOUND, passed, {"min_degree": delta, "bound": bound})
 
 
 def check_conjecture(g: Graph, k: int, verified: bool = False) -> TheoremVerdict:
@@ -109,8 +123,7 @@ def check_conjecture(g: Graph, k: int, verified: bool = False) -> TheoremVerdict
         tid = MIN_DEGREE_CONJECTURE
     delta = g.min_degree()
     passed = delta == k + 1
-    witness = None if passed else {"min_degree": delta, "expected": k + 1}
-    return TheoremVerdict(tid, True, passed, witness)
+    return TheoremVerdict.checked(tid, passed, {"min_degree": delta, "expected": k + 1})
 
 
 def check_n4_characterization(g: Graph) -> TheoremVerdict:
@@ -121,10 +134,8 @@ def check_n4_characterization(g: Graph) -> TheoremVerdict:
     critical = is_k_factor_critical(g, g.n - 4).verdict
     structural = is_claw_free(g) and g.min_degree() >= g.n - 3
     passed = critical == structural
-    witness = None
-    if not passed:
-        witness = {"critical": critical, "claw_free_and_dense": structural}
-    return TheoremVerdict(N4_CHARACTERIZATION, True, passed, witness)
+    return TheoremVerdict.checked(N4_CHARACTERIZATION, passed,
+                                  {"critical": critical, "claw_free_and_dense": structural})
 
 
 def check_star_structure(g: Graph, k: int, verified_kfc: bool = False) -> TheoremVerdict:
@@ -145,10 +156,7 @@ def _star_structure_verdict(g: Graph, k: int, minimal: bool) -> TheoremVerdict:
     profile = degree_profile(g)
     star_profile = profile == {n - 1: 1, k + 1: n - 1}
     passed = minimal == star_profile
-    witness = None
-    if not passed:
-        witness = {"minimal": minimal, "profile": profile}
-    return TheoremVerdict(STAR_STRUCTURE, True, passed, witness)
+    return TheoremVerdict.checked(STAR_STRUCTURE, passed, {"minimal": minimal, "profile": profile})
 
 
 def _of_degree(g: Graph, d: int) -> list[int]:
@@ -165,8 +173,7 @@ def check_two_maxdeg_nonadjacent(g: Graph, k: int, verified: bool = False) -> Th
         return TheoremVerdict(TWO_MAXDEG, False, None)
     high = _of_degree(g, n - 2)
     passed = len(high) <= 2 and is_independent(g, mask_from(high))
-    witness = None if passed else {"degree_n_minus_2_vertices": high}
-    return TheoremVerdict(TWO_MAXDEG, True, passed, witness)
+    return TheoremVerdict.checked(TWO_MAXDEG, passed, {"degree_n_minus_2_vertices": high})
 
 
 def _has_path_of_three_edges(g: Graph, allowed: list[int]) -> list[int] | None:
@@ -210,8 +217,7 @@ def check_maxdeg_profile(g: Graph, verified: bool = False) -> TheoremVerdict:
         high = _of_degree(g, n - 2)
         ok = (len(high) <= 2 and is_independent(g, mask_from(high))
               and profile.get(n - 5, 0) == n - 2 and profile.get(n - 4, 0) == 2 - len(high))
-        witness = None if ok else {"profile": profile, "high": high}
-        return TheoremVerdict(MAXDEG_N2_PROFILE, True, ok, witness)
+        return TheoremVerdict.checked(MAXDEG_N2_PROFILE, ok, {"profile": profile, "high": high})
 
     if delta_max == n - 3:
         if n < 9:
@@ -219,16 +225,14 @@ def check_maxdeg_profile(g: Graph, verified: bool = False) -> TheoremVerdict:
         high = _of_degree(g, n - 3)
         ok = len(high) < 3 or (len(high) == 3 and is_independent(g, mask_from(high))
                                and profile.get(n - 5, 0) == n - 3)
-        witness = None if ok else {"profile": profile, "high": high}
-        return TheoremVerdict(MAXDEG_N3_PROFILE, True, ok, witness)
+        return TheoremVerdict.checked(MAXDEG_N3_PROFILE, ok, {"profile": profile, "high": high})
 
     if n < 11:
         return TheoremVerdict(MAXDEG_N4_PROFILE, False, None)
     mid = _of_degree(g, n - 4)
     bad_path = _has_path_of_three_edges(g, mid)
     ok = len(mid) <= 4 and bad_path is None
-    witness = None if ok else {"profile": profile, "path": bad_path}
-    return TheoremVerdict(MAXDEG_N4_PROFILE, True, ok, witness)
+    return TheoremVerdict.checked(MAXDEG_N4_PROFILE, ok, {"profile": profile, "path": bad_path})
 
 
 def minimal_verdicts(g: Graph, k: int, verified: bool = False) -> list[TheoremVerdict]:
@@ -243,3 +247,25 @@ def minimal_verdicts(g: Graph, k: int, verified: bool = False) -> list[TheoremVe
     if k == g.n - 6 and k >= 1:
         out.append(check_maxdeg_profile(g, verified=True))
     return out
+
+
+def edge_verdicts(
+    g: Graph, k: int
+) -> Iterator[tuple[tuple[int, int], EdgeClassification, PredicateReport | None, str | None]]:
+    """Each edge of a minimally k-factor-critical graph as (edge, entry,
+    report, failed): ``entry`` is the edge's witness and residual
+    classification from ``certify_minimal_edges``, and ``report`` the
+    ``config_predicates`` report of a residual labelled other than
+    Unclassified, otherwise None.  ``failed`` is the configuration statement
+    the edge fails: CONFIG_COMPLETENESS for an Unclassified residual,
+    CONFIG_PREDICATES for a failed check under a met hypothesis, otherwise
+    None.  The one place that decides it, for surveys and the CLI alike."""
+    for e, entry in certify_minimal_edges(g, k).items():
+        if entry.match is None:
+            yield e, entry, None, None
+        elif entry.match.label == UNCLASSIFIED:
+            yield e, entry, None, CONFIG_COMPLETENESS
+        else:
+            report = config_predicates(g, e, entry.witness, entry.match)
+            failed = report.hypothesis_met and not report.all_passed
+            yield e, entry, report, CONFIG_PREDICATES if failed else None

@@ -23,8 +23,10 @@ from factorcrit import (
     check_maxdeg_profile,
     check_n4_characterization,
     check_star_structure,
+    complete_graph,
     degree_profile,
     downward_criticality_check,
+    empty_graph,
     encode_graph6,
     enumerate_catalog,
     enumerate_perfect_matchings,
@@ -65,6 +67,7 @@ from goldens import (
     verdicts_digest,
 )
 from test_matching import assert_violator_modes_match_the_plain_sweep
+from test_search import assert_walk_keeps_every_verdict
 
 # Deselect with ``pytest -m "not acceptance"`` for a fast local loop.
 pytestmark = pytest.mark.acceptance
@@ -120,6 +123,22 @@ def test_generation_matches_golden_hashes(lines, lines9):
         source = lines9 if n == 9 else lines[n]
         payload = "".join(line + "\n" for line in source).encode("ascii")
         assert hashlib.sha256(payload).hexdigest() == expected, n
+
+
+def test_insertion_bound_keeps_every_verdict_order_9(lines, lines9):
+    """The shared walk gives every mask of a fixed sample of order-8
+    parents, every 83rd catalog graph from the empty graph on and the
+    complete graph, the verdict of the orderly test: its child is accepted
+    exactly when its graph6 line is in the order-9 catalog, which must hash
+    to ``GENERATION_GOLDEN[9]``."""
+    payload = "".join(line + "\n" for line in lines9).encode("ascii")
+    assert hashlib.sha256(payload).hexdigest() == GENERATION_GOLDEN[9]
+    canonical = set(lines9)
+    parents = [parse_graph6(line).adj for line in lines[8][::83]] + [complete_graph(8).adj]
+    assert parents[0] == empty_graph(8).adj
+    accepted = assert_walk_keeps_every_verdict(
+        parents, 8, lambda adj: encode_graph6(Graph(9, adj)) in canonical)
+    assert accepted == 2841
 
 
 def test_pool_matches_the_in_process_sweep_at_order_9(sweeps, catalog9):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,15 +14,20 @@ from pathlib import Path
 import pytest
 
 from factorcrit import (
+    Catalog,
     cli,
     complete_bipartite,
     cycle_graph,
     encode_graph6,
     parse_graph6,
     path_graph,
+    survey,
     wheel_graph,
 )
+from factorcrit import configurations, verifiers
 from factorcrit.cli import build_parser, main
+from factorcrit.configurations import UNCLASSIFIED, PredicateCheck, PredicateReport
+from factorcrit.verifiers import TheoremVerdict
 from factorcrit.search import enumerate_catalog
 
 
@@ -538,6 +544,68 @@ def test_verify_failed_verdict_exits_3_golden(monkeypatch, capsys):
     for argv, digest in VERIFY_VIOLATION_GOLDEN.items():
         code, out, _ = run_cli(argv.split(), capsys=capsys)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (3, digest), argv
+
+
+# Planted configuration failures reach predicates' exit code 3, the code of
+# a statement that verifiers.STATEMENTS marks proven.
+PREDICATES_VIOLATION_GOLDEN = {
+    "config-completeness": {
+        "predicates --k 2 GhCKN{": "8ca78536644c92238e21a221ab790e65dcadfe963dbb17b5342807b73cb53549",
+        "predicates --k 2 --json GhCKN{": "7954ad8b5467b4e0cffed67f71312ccc25425a8c2213b9a4ae0948b075d9fedc",
+    },
+    "config-predicates": {
+        "predicates --k 2 GhCKN{": "d770e7f6110f716824e42efd484803be964eee103b810d1bdfcb147ab41aba73",
+        "predicates --k 2 --json GhCKN{": "aa0ad16825541a022e1deceb18925b7950afb44b5a6ddfa4d476dc94a0236a93",
+    },
+}
+
+
+def _plant_unclassified_residuals(monkeypatch):
+    classify = configurations.classify_residual
+    monkeypatch.setattr(configurations, "classify_residual",
+                        lambda inst: dataclasses.replace(classify(inst), label=UNCLASSIFIED))
+
+
+def _plant_failed_predicates(monkeypatch):
+    monkeypatch.setattr(verifiers, "config_predicates", lambda g, e, witness, match: PredicateReport(
+        match.label, match.family, True, (PredicateCheck("planted", False),)))
+
+
+@pytest.mark.parametrize("plant, statement", [
+    (_plant_unclassified_residuals, "config-completeness"),
+    (_plant_failed_predicates, "config-predicates"),
+])
+def test_configuration_failures_exit_3_golden(plant, statement, monkeypatch, capsys):
+    """GhCKN{ has two classified edges at k = 2; with both planted to fail,
+    the survey lists the statement twice and predicates exits 3."""
+    plant(monkeypatch)
+    report = survey(Catalog.from_graphs(8, [parse_graph6("GhCKN{")]), 2, raise_on_violation=False)
+    assert report.counterexamples == [("GhCKN{", statement)] * 2
+    for argv, digest in PREDICATES_VIOLATION_GOLDEN[statement].items():
+        code, out, _ = run_cli(argv.split(), capsys=capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (3, digest), argv
+    code, out, _ = run_cli(["predicates", "--k", "2", "--edge", "1,2", "GhCKN{"], capsys=capsys)
+    assert code == 3 and out.startswith("arg: edge (1, 2): ")
+
+
+# A planted failing Conj1.3 verdict, an open statement, reaches verify's exit
+# code 1.
+VERIFY_OPEN_FAILURE_GOLDEN = {
+    "verify --k 2 GhCKN{": "ae5a87ebd71782ede7ffeef0a4be18583436e29fde7c9e553e6b2f9756518ffa",
+    "verify --k 2 --json GhCKN{": "6408c1ab2bb4112ce431234a5d3551fa6028f58f04a645963870e138b7df3627",
+}
+
+
+def test_verify_failed_open_statement_exits_1_golden(monkeypatch, capsys):
+    monkeypatch.setattr(verifiers, "check_conjecture",
+                        lambda g, k, verified=False: TheoremVerdict("Conj1.3", True, False, {"planted": True}))
+    for argv, digest in VERIFY_OPEN_FAILURE_GOLDEN.items():
+        code, out, _ = run_cli(argv.split(), capsys=capsys)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, digest), argv
+    # a failed proven statement beside it sets the exit code
+    monkeypatch.setattr(cli, "check_n4_characterization",
+                        lambda g: TheoremVerdict("L3.1", True, False, {"planted": True}))
+    assert run_cli(["verify", "--k", "2", "GhCKN{"], capsys=capsys)[0] == 3
 
 
 def test_verify_notes_when_no_checker_applies(capsys):

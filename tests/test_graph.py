@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from factorcrit import (
     ComponentPartition,
     Graph,
+    KOutOfRange,
     LimitExceeded,
     MalformedEncoding,
     OrderTooSmall,
@@ -246,6 +247,11 @@ def test_k_sets_refuse_a_sweep_over_the_budget_at_once():
     assert next(k_sets((1 << 22) - 1, 11)) == (1 << 11) - 1
     with pytest.raises(LimitExceeded, match="1352078 vertex subsets"):
         k_sets((1 << 23) - 1, 11)
+
+
+def test_k_sets_refuse_a_negative_size():
+    with pytest.raises(KOutOfRange, match="^subset size -1 is negative$"):
+        k_sets(0b111, -1)
 
 
 def test_is_independent_agrees_with_the_pairwise_test(catalog):

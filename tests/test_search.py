@@ -48,7 +48,7 @@ from factorcrit import (
     valid_k_values,
     wheel_graph,
 )
-from factorcrit import search
+from factorcrit import search, verifiers
 from goldens import GENERATION_GOLDEN
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -153,18 +153,29 @@ def _child(parent: tuple[int, ...], mask: int) -> tuple[int, ...]:
     return (*[parent[v] | ((mask >> v & 1) << top) for v in range(top)], mask)
 
 
-def test_last_swap_prefilter_skips_only_rejected_extensions():
+def _canonical_rows(catalog, m: int) -> set[tuple[int, ...]]:
+    """The rows of every graph of the generated catalog of order m, which
+    must hash to ``GENERATION_GOLDEN[m]``: the labeled graphs whose encoding
+    is lexicographically minimal, so a child passes the orderly test exactly
+    when its rows are among them."""
+    graphs = catalog(m)
+    payload = "".join(encode_graph6(g) + "\n" for g in graphs).encode("ascii")
+    assert hashlib.sha256(payload).hexdigest() == GENERATION_GOLDEN[m], m
+    return {g.adj for g in graphs}
+
+
+def test_last_swap_prefilter_skips_only_rejected_extensions(catalog):
     skipped = 0
     for m in range(2, 8):
         top = m - 1
         reverse = search._subset_images(range(top - 1, -1, -1))
+        canonical = _canonical_rows(catalog, m)
         for parent in _parents(m):
             last_column = search._column_codes(parent, top)[top - 1]
             for mask in range(1 << top):
                 if reverse[mask] >> 1 < last_column:
                     skipped += 1
-                    adj = _child(parent, mask)
-                    assert search._min_columns(adj, search._column_codes(adj, m), orderly=True) is None
+                    assert _child(parent, mask) not in canonical, (parent, mask)
     masks = sum(KNOWN_COUNTS[m - 1] << (m - 1) for m in range(2, 8))
     assert skipped == masks - sum(ORDERLY_TESTS.values())
 
@@ -184,30 +195,32 @@ def test_generation_runs_no_per_mask_search(monkeypatch):
         assert canonical_form(_relabel(g, _shuffled(7, rng))) == g
 
 
-@pytest.mark.parametrize("m", [7, 8, 9])
-def test_insertion_bound_keeps_every_verdict(m):
-    """The shared walk, with its insertion bound, its placed classes and its
-    checks of the last vertex, gives every mask of every parent of order
-    m-1, handed over as every code without the prefilter, the verdict of
-    the mask's own plain orderly test, and returns the accepted children by
-    increasing mask.  At m = 9 the parents are a fixed sample of the
-    order-8 catalog: every 83rd graph, from the empty graph on, and the
-    complete graph."""
-    top = m - 1
+def assert_walk_keeps_every_verdict(parents, top: int, canonical) -> int:
+    """Check the shared walk on every mask of each parent of order ``top``,
+    handed over as every code without the prefilter: it returns exactly the
+    children that ``canonical`` holds, by increasing mask.  The number of
+    children accepted."""
     reverse = search._subset_images(range(top - 1, -1, -1))
-    parents = _parents(m)
-    if m == 9:
-        parents = parents[::83] + [complete_graph(top).adj]
-        assert parents[0] == empty_graph(top).adj
     accepted = 0
     for parent in parents:
         codes = search._column_codes(parent, top)
         walked = search._canonical_masks(parent, codes, (1 << (1 << top)) - 1, reverse)
-        plain = [adj for mask, adj in enumerate(_child(parent, mask) for mask in range(1 << top))
-                 if search._min_columns(adj, codes + [reverse[mask]], orderly=True) is not None]
+        plain = [adj for adj in (_child(parent, mask) for mask in range(1 << top)) if canonical(adj)]
         assert walked == plain, (parent, [adj[-1] for adj in walked], [adj[-1] for adj in plain])
         accepted += len(plain)
-    assert accepted == {7: KNOWN_COUNTS[7], 8: 12346, 9: 2841}[m]
+    return accepted
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_insertion_bound_keeps_every_verdict(m, catalog):
+    """The shared walk, with its insertion bound, its placed classes and its
+    checks of the last vertex, gives every mask of every parent of order
+    m-1 the verdict of the orderly test: its child is accepted exactly when
+    it is in the recorded catalog of order m.  The acceptance suite checks
+    a sample of order-8 parents against the order-9 catalog."""
+    canonical = _canonical_rows(catalog, m)
+    accepted = assert_walk_keeps_every_verdict(_parents(m), m - 1, canonical.__contains__)
+    assert accepted == {7: KNOWN_COUNTS[7], 8: 12346}[m]
 
 
 def test_generation_matches_golden_hashes_to_order_8():
@@ -319,19 +332,6 @@ def test_canonical_form_above_the_bruteforce_orders():
             assert canonical_form(_relabel(g, _shuffled(g.n, rng))) == canon, encode_graph6(g)
         assert canonical_form(canon) == canon
         assert nx.is_isomorphic(_networkx(canon), _networkx(g))
-
-
-def test_orderly_and_canonical_modes_agree_order_7():
-    """The orderly test accepts an order-7 child exactly when canonical mode
-    returns its own column codes."""
-    reverse = search._subset_images(range(5, -1, -1))
-    for parent in _parents(7):
-        codes = search._column_codes(parent, 6)
-        for mask in range(64):
-            adj = _child(parent, mask)
-            child = codes + [reverse[mask]]
-            orderly = search._min_columns(adj, child, orderly=True) is not None
-            assert orderly == (search._min_columns(adj, list(child), orderly=False) == child), (parent, mask)
 
 
 def test_labeling_search_budget():
@@ -499,6 +499,20 @@ def test_survey_rejects_skip_out_of_range(tmp_path: Path, catalog, skip):
         survey(cat, 1, jsonl_path=str(path), skip=skip)
     assert path.read_text() == "kept\n"
     assert survey(cat, 1, skip=34).total == 0
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_survey_and_hunt_refuse_jobs_below_1(tmp_path: Path, catalog, monkeypatch, jobs):
+    """Both raise before any work: the survey before it decodes the catalog
+    or opens the sink, the hunt before it builds a catalog."""
+    cat = Catalog(5, "memory", "as-is", tuple(encode_graph6(g) for g in catalog(5)))
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(PreconditionUnmet, match=f"^jobs={jobs} must be at least 1$"):
+        survey(cat, 1, jobs=jobs, jsonl_path=str(path))
+    assert not path.exists() and "_rows" not in vars(cat)
+    monkeypatch.setattr(search, "enumerate_catalog", lambda *a, **kw: pytest.fail("catalog built"))
+    with pytest.raises(PreconditionUnmet, match=f"^jobs={jobs} must be at least 1$"):
+        hunt_counterexamples([5], jobs=jobs)
 
 
 def test_survey_deterministic_and_parallel_identical(catalog):
@@ -803,9 +817,9 @@ def test_survey_tallies_configuration_labels_and_predicates(monkeypatch):
         (3, 4): (match("A2"), PredicateReport("A2", "A", False, ())),
         (4, 5): (match("A1"), PredicateReport("A1", "A", True, (PredicateCheck("a", True),))),
     }
-    monkeypatch.setattr(search, "certify_minimal_edges", lambda g, k: {
+    monkeypatch.setattr(verifiers, "certify_minimal_edges", lambda g, k: {
         e: SimpleNamespace(match=m, witness=0) for e, (m, _report) in entries.items()})
-    monkeypatch.setattr(search, "config_predicates", lambda g, e, witness, m: entries[e][1])
+    monkeypatch.setattr(verifiers, "config_predicates", lambda g, e, witness, m: entries[e][1])
     cat = Catalog.from_graphs(7, [cycle_graph(7)])
     line = cat.graph6_lines[0]
     report = survey(cat, 1, raise_on_violation=False)
